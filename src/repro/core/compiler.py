@@ -22,11 +22,11 @@ Section 4.3:
 * **forked process** — a separate interpreter process compiles the source
   to a marshalled code object on disk, which the parent then loads
   ("significant additional run-time resources ... creating a new
-  instantiation of the JVM" — benchmarked as B2/F9).
+  instantiation of the JVM").
 
 The direct mechanism is tried first and the forked one used as fallback,
 matching Figure 9's control flow; ``mechanism="forked"`` forces the
-fallback for benchmarking.
+fallback.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class DynamicCompiler:
 
     _link_store: Optional[LinkStore] = None
     _loader: ClassLoader = ClassLoader()
-    #: Count of forked compilations (observable by tests/benchmarks).
+    #: Count of forked compilations (observable by tests).
     fork_count: int = 0
     #: Source map of the most recent textual-form generation, used to
     #: re-express diagnostics in hyper-program terms.

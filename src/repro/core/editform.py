@@ -10,7 +10,7 @@ The form is a vector of :class:`HyperLine` instances; each line owns its
 text and the links anchored on it.  All editing operations (insertion and
 deletion of text and links, line split/join) are local to the lines they
 touch — which is exactly why this form beats the flat storage form for
-editing (benchmarked as ablation F11).
+editing (the paper's Figure 11 design rationale).
 
 A link is a zero-width anchor between two characters of its line; edits
 shift anchors on the same line, and deletions remove the links whose

@@ -134,8 +134,8 @@ def legality_matrix(kinds: Sequence[LinkKind] = tuple(LinkKind),
                     ) -> dict[tuple[str, str], bool]:
     """The full kinds-by-contexts legality matrix.
 
-    Keys are ``(kind.value, context_name)``.  Used by benchmark T1 to
-    regenerate (and extend) the paper's Table 1.
+    Keys are ``(kind.value, context_name)``; it extends the paper's
+    Table 1 from productions to syntactic contexts.
     """
     if contexts is None:
         contexts = CONTEXTS
@@ -148,7 +148,7 @@ def legality_matrix(kinds: Sequence[LinkKind] = tuple(LinkKind),
 
 def format_legality_matrix(matrix: dict[tuple[str, str], bool] | None = None
                            ) -> str:
-    """A printable table of the legality matrix (benchmark T1 output)."""
+    """A printable table of the legality matrix."""
     if matrix is None:
         matrix = legality_matrix()
     kinds = sorted({key[0] for key in matrix},

@@ -21,7 +21,7 @@ provided, reproducing the paper's evolution:
   :class:`~repro.store.weakrefs.PersistentWeakRef`, "so that hyper-programs
   may be garbage collected once no user references to them remain".
 
-The ablation benchmark F7 runs both modes.
+``tests/paper/test_figure7_registry.py`` runs both modes.
 """
 
 from __future__ import annotations

@@ -25,8 +25,8 @@ The denotation of each link depends on its kind:
 
 This module also provides :class:`TextualBaseline`, the conventional
 programming model hyper-programming replaces (objects located by textual
-root-plus-path descriptions, resolved at run time), used by the benefit
-benchmarks (B1).
+root-plus-path descriptions, resolved at run time), which
+``tests/paper/test_section1_benefits.py`` sets against hyper-links.
 """
 
 from __future__ import annotations
@@ -161,8 +161,8 @@ class PersistentLookup:
 
     This is what a program must do *without* hyper-programming: name a
     root, then navigate a path of field names and indices, every step
-    validated only when the program runs.  Used as the baseline in the
-    benefit benchmarks (Section 1: early checking, succinctness).
+    validated only when the program runs.  The baseline the Section 1
+    benefits (early checking, succinctness) are checked against.
     """
 
     _store: "ObjectStore | None" = None

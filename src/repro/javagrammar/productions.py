@@ -206,7 +206,7 @@ def table1_rows() -> list[tuple[str, str, bool]]:
 
 
 def format_table1() -> str:
-    """Printable Table 1 (benchmark T1 output)."""
+    """Printable Table 1 (checked by ``tests/paper/test_table1.py``)."""
     rows = table1_rows()
     width = max(len(row[0]) for row in rows) + 2
     lines = [f"{'Hyper-link To':<{width}}{'Production':<16}Derives",

@@ -27,7 +27,7 @@ async     no     yes       submission returns immediately; durability
 group arrives, the committer waits up to the window for more arrivals
 before committing.  The default of 0 relies on *natural batching* —
 whatever queued while the previous group was fsyncing forms the next
-group — which adds no latency and is what the commit benchmark runs.
+group — which adds no latency.
 """
 
 from __future__ import annotations

@@ -121,15 +121,12 @@ class SchemeSpec(NamedTuple):
     build: Callable[[str, dict], StorageEngine]
 
 
-#: The scheme registry: every storage scheme the factory understands.
+#: The scheme registry: every storage scheme the factory understands,
+#: in registration order (the order messages list them in).
 #: The built-in backends register below; the network schemes
 #: (``remote:``, ``routed:``) plug in the same way with lazily-imported
 #: builders, and out-of-tree backends may call :func:`register_scheme`.
 _SCHEME_REGISTRY: dict[str, SchemeSpec] = {}
-
-#: Registered scheme names, kept in registration order for messages and
-#: backward compatibility (``factory.SCHEMES`` predates the registry).
-SCHEMES: tuple[str, ...] = ()
 
 
 def register_scheme(name: str, keys: tuple[str, ...],
@@ -147,14 +144,11 @@ def register_scheme(name: str, keys: tuple[str, ...],
             f"characters, got {name!r}"
         )
     _SCHEME_REGISTRY[name] = SchemeSpec(tuple(keys), build)
-    global SCHEMES
-    if name not in SCHEMES:
-        SCHEMES = SCHEMES + (name,)
 
 
 def registered_schemes() -> tuple[str, ...]:
     """Every scheme the factory currently understands."""
-    return SCHEMES
+    return tuple(_SCHEME_REGISTRY)
 
 
 def _split_scheme(url: str) -> tuple[str | None, str]:

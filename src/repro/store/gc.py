@@ -1,9 +1,8 @@
 """Reachability analysis helpers over the stored graph.
 
 :meth:`~repro.store.objectstore.ObjectStore.collect_garbage` is the actual
-collector; this module exposes the analysis pieces separately so tests,
-benchmarks and the browser can inspect reachability without mutating the
-store.
+collector; this module exposes the analysis pieces separately so tests
+and the browser can inspect reachability without mutating the store.
 """
 
 from __future__ import annotations

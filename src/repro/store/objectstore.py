@@ -11,7 +11,7 @@ and referential integrity" (paper, Section 1).  Key behaviours:
   OIDs are never reused, and garbage collection only frees what is
   unreachable, so a stored reference always resolves.
 * **Identity** — fetching an OID twice returns the same live object
-  (:class:`~repro.store.cache.IdentityMap`).
+  (:class:`~repro.store.serve.cache.ObjectCache`).
 * **Typed fidelity** — instances are rebuilt from their *registered* class
   after a schema-fingerprint check (:mod:`repro.store.registry`).
 * **Weak references** — :class:`~repro.store.weakrefs.PersistentWeakRef`
@@ -184,16 +184,14 @@ class ObjectStore:
         # accidentally share schema state.
         self.registry = registry if registry is not None else ClassRegistry()
         self._serializer = Serializer(self.registry)
-        # The identity map is a bounded object cache: with a capacity it
-        # keeps an LRU hot set strongly and demotes the clean tail to
-        # weak references; unbounded (the default) it pins everything,
-        # like the seed behaviour.  The guard keeps dirty objects
-        # strongly held until stabilised; the hook drops the demoted
-        # object's clean-state snapshot, which would otherwise pin its
-        # children through the bookkeeping.
-        self._identity = ObjectCache(capacity=cache_objects)
-        self._identity.set_demotion_guard(self._may_demote)
-        self._identity.set_demotion_hook(self._on_demoted)
+        # The identity map: unbounded (the default) it pins everything;
+        # with a capacity it keeps an LRU hot set strongly and demotes
+        # the clean tail to weak references.  The guard keeps dirty
+        # objects strongly held until stabilised; the hook drops the
+        # demoted object's clean-state snapshot, which would otherwise
+        # pin its children through the bookkeeping.
+        self._identity = ObjectCache(cache_objects, guard=self._may_demote,
+                                     on_demoted=self._on_demoted)
         self._allocator = OidAllocator(max(int(engine.next_oid), 1))
         self._planner = FetchPlanner(engine)
         # The read-serving lock (writer-preferring): lookups share the
@@ -222,8 +220,8 @@ class ObjectStore:
         #: the shadow snapshot — weakrefs have no snapshot by design)
         #: skips the rebuild when the resolved target has not moved.
         self._weak_stored: dict[Oid, Optional[Oid]] = {}
-        #: Objects serialised since open (observability for benchmarks:
-        #: incremental stabilisation keeps this close to the dirty count).
+        #: Objects serialised since open (incremental stabilisation
+        #: keeps this close to the dirty count).
         self.encode_count = 0
         #: Weak-reference records actually rebuilt (the `_weak_stored`
         #: cache keeps this from growing on clean re-stabilises).
@@ -272,8 +270,8 @@ class ObjectStore:
         #: Lock-free identity-map hits on the seqlock fast path.  A
         #: plain int + pull gauge, *not* a Counter: the hottest read
         #: path in the store pays one ``+= 1``, identical with metrics
-        #: on or off (a bound-method ``inc`` measurably slows the
-        #: seqlock hit — see [B9]).
+        #: on or off (a Counter would cost a bound-method call per
+        #: hit either way: the real ``inc`` or the null instrument's).
         self._fastpath_hits = 0
         m.gauge_fn("store_fastpath_hits_total",
                    lambda: self._fastpath_hits)
@@ -1264,7 +1262,7 @@ class ObjectStore:
             next_oid=int(self._allocator.next_oid),
         )
 
-    def stats(self) -> dict[str, int]:
+    def stats(self) -> dict[str, Optional[int]]:
         """Stabilise-phase counters, cumulative over the store's life.
 
         ``walk_ns`` / ``encode_ns`` / ``commit_ns`` attribute each
@@ -1278,10 +1276,13 @@ class ObjectStore:
 
         This is the compatibility view over the store's
         :class:`~repro.store.obs.MetricsRegistry` counters; with
-        ``metrics=False`` the phase counters are no-ops and read zero.
+        ``metrics=False`` nothing measured them, so the six registry-backed
+        keys read ``None`` rather than a zero that never happened
+        (``encode_count`` and ``weak_rebuilds`` keep counting).
         """
+        measured = self._metrics.enabled
         with self._commit_lock:
-            out = {name: counter.value
+            out = {name: counter.value if measured else None
                    for name, counter in self._phase_counters.items()}
         out["encode_count"] = self.encode_count
         out["weak_rebuilds"] = self.weak_rebuilds

@@ -1,9 +1,17 @@
-"""The bounded object cache: an LRU hot set over a weak-reference tail.
+"""The identity map: the store's live-object cache, optionally bounded.
 
-The plain :class:`~repro.store.cache.IdentityMap` pins every object it
-has ever fetched, so a long read session over a large store grows without
-bound.  ``ObjectCache`` keeps the identity guarantee while bounding what
-the *store itself* pins:
+PJama guarantees that fetching the same persistent object twice yields the
+*same* Java object — object identity is preserved across the store
+boundary.  ``ObjectCache`` provides that guarantee: it is a bidirectional
+association between OIDs and live Python objects, keyed by ``id()`` on the
+object side (with the mapping itself keeping the object alive, so an id is
+never reused while mapped).
+
+With ``capacity=None`` every mapped object is pinned strongly and forever
+— correct, and right for small stores — but a long read session over a
+large store then grows without bound.  A ``capacity`` (the store's
+``cache_objects`` setting) keeps the identity guarantee while bounding
+what the *store itself* pins:
 
 * the **hot set** — up to ``capacity`` objects held strongly, in LRU
   order (every :meth:`object_for` hit refreshes recency; internal walks
@@ -21,7 +29,7 @@ from the map would let a second copy materialise behind the
 application's back (and let stabilise allocate it a second OID).  Three
 kinds of victim refuse demotion and stay strong:
 
-* **dirty objects** — the store's demotion guard compares the victim's
+* **dirty objects** — the ``guard`` the store passes compares the victim's
   current state against its last-stored snapshot; unstabilised mutations
   must not become collectable;
 * **non-weakrefable objects** — plain ``list``/``dict``/``set``/
@@ -30,7 +38,7 @@ kinds of victim refuse demotion and stay strong:
   population in a hyper-program store) and container nodes stay pinned;
 * objects the guard cannot judge (snapshot raises): kept, conservatively.
 
-Demotion calls the store's demotion hook so the store drops its
+Demotion calls the store's ``on_demoted`` hook so the store drops its
 clean-state snapshot of the victim — a snapshot holds strong references
 to the victim's children and would otherwise keep whole demoted chains
 alive through the bookkeeping rather than through the object graph.
@@ -44,52 +52,56 @@ strong reference) until the next stabilise** — the same rule as for
 objects mutated after demotion.  Single-threaded mutators never hit
 this: their mutations happen strictly between enforcement points, and
 a dirty victim is always refused.
+
+All methods are thread-safe: the map carries its own mutex, so concurrent
+readers can share the store's read lock while still mutating LRU
+bookkeeping safely.  The mutex covers single operations only — compound
+invariants (fault installation, evict-and-refault) are the store's
+:class:`~repro.store.serve.locks.ReadWriteLock`'s job.
 """
 
 from __future__ import annotations
 
+import threading
 import weakref
 from collections import OrderedDict
 from typing import Any, Callable, Iterator, Optional
 
-from repro.store.cache import IdentityMap
 from repro.store.oids import Oid
 
 #: ``guard(oid, obj) -> bool`` — may this clean victim be demoted?
 DemotionGuard = Callable[[Oid, Any], bool]
 
 
-class ObjectCache(IdentityMap):
-    """Identity map with a bounded strong set (LRU + weakref demotion)."""
+class ObjectCache:
+    """Bidirectional OID <-> live object association; with a ``capacity``,
+    the strong set is bounded: LRU victims the ``guard`` allows are
+    demoted to weak references and reported to ``on_demoted``."""
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        super().__init__()
+    def __init__(self, capacity: Optional[int] = None,
+                 guard: Optional[DemotionGuard] = None,
+                 on_demoted: Optional[Callable[[Oid], None]] = None) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self._capacity = capacity
-        # Reuse the base map as the strong tier, but in LRU order.
+        self._guard = guard
+        self._demotion_hook = on_demoted
+        # RLock: compound tier moves call back into single operations.
+        self._mutex = threading.RLock()
+        #: The strong tier, in LRU order.
         self._by_oid: OrderedDict[Oid, Any] = OrderedDict()
+        self._oid_by_id: dict[int, Oid] = {}
         #: Demoted tail: oid -> (weak reference, id() at demotion time,
         #: so the reverse entry can be purged after the object dies).
         self._weak: dict[Oid, tuple[weakref.ref, int]] = {}
-        self._guard: Optional[DemotionGuard] = None
-        self._demotion_hook: Optional[Callable[[Oid], None]] = None
         #: Observability: demotions and weak-tier deaths since creation.
         self.demotions = 0
         self.weak_deaths = 0
 
-    # -- configuration ---------------------------------------------------
-
     @property
     def capacity(self) -> Optional[int]:
+        """Most clean objects held strongly, or ``None`` (unbounded)."""
         return self._capacity
-
-    def set_demotion_guard(self, guard: Optional[DemotionGuard]) -> None:
-        self._guard = guard
-
-    def set_demotion_hook(self,
-                          hook: Optional[Callable[[Oid], None]]) -> None:
-        self._demotion_hook = hook
 
     # -- lookups ---------------------------------------------------------
 
@@ -108,6 +120,8 @@ class ObjectCache(IdentityMap):
         return obj
 
     def object_for(self, oid: Oid) -> Optional[Any]:
+        """The live object for ``oid`` (counts as a *use*: it refreshes
+        recency and promotes a demoted object back to the hot set)."""
         with self._mutex:
             obj = self._by_oid.get(oid)
             if obj is not None:
@@ -122,16 +136,17 @@ class ObjectCache(IdentityMap):
             return obj
 
     def hit(self, oid: Oid) -> Optional[Any]:
-        """Optimistic probe (see :meth:`IdentityMap.hit`).
+        """Optimistic probe for the store's lock-free read fast path.
 
-        Unbounded caches answer with a bare atomic ``dict.get`` — with
-        no capacity there is no LRU order to maintain and nothing is
-        ever demoted, so a strong-tier read needs no mutex (a miss
-        falls back to the caller's locked path, which also probes the
-        weak tail).  Bounded caches keep the mutex: a hit moves the
-        entry in the LRU order and may promote it out of the weak
-        tail, neither of which is a single atomic operation.  The
-        distinction matters under reader stampedes — see
+        Unbounded caches answer with a bare ``dict.get``, no mutex: there
+        is no LRU order to maintain and nothing is ever demoted, a single
+        ``dict`` operation is atomic under the GIL, and the *caller*
+        validates against overlapping write sections with the serve
+        lock's seqlock epoch, retaking the locked path on any overlap or
+        miss.  Bounded caches keep the mutex: a hit moves the entry in
+        the LRU order and may promote it out of the weak tail, neither
+        of which is a single atomic operation.  The distinction matters
+        under reader stampedes — see
         :meth:`~repro.store.objectstore.ObjectStore.object_for`.
         """
         if self._capacity is None:
@@ -139,6 +154,9 @@ class ObjectCache(IdentityMap):
         return self.object_for(oid)
 
     def peek(self, oid: Oid) -> Optional[Any]:
+        """Like :meth:`object_for` but without recency side effects —
+        internal walks (stabilise, GC) use this so a full traversal does
+        not churn the LRU order."""
         with self._mutex:
             obj = self._by_oid.get(oid)
             if obj is not None:
@@ -150,6 +168,8 @@ class ObjectCache(IdentityMap):
             oid = self._oid_by_id.get(id(obj))
             if oid is None:
                 return None
+            # Guard against id() collisions with unmapped objects: the
+            # entry is only valid if the mapped object is this very object.
             if self._by_oid.get(oid) is obj:
                 return oid
             entry = self._weak.get(oid)
@@ -169,6 +189,7 @@ class ObjectCache(IdentityMap):
 
     @property
     def strong_count(self) -> int:
+        """Objects currently pinned by a strong reference."""
         with self._mutex:
             return len(self._by_oid)
 
@@ -231,16 +252,13 @@ class ObjectCache(IdentityMap):
             return iter(snapshot)
 
     def oids(self) -> set[Oid]:
-        with self._mutex:
-            live = set(self._by_oid)
-            for oid in list(self._weak):
-                if self._weak_live(oid) is not None:
-                    live.add(oid)
-            return live
+        return {oid for oid, _ in self.items()}
 
     # -- demotion --------------------------------------------------------
 
     def enforce_capacity(self) -> int:
+        """Demote LRU victims until the strong set fits the capacity;
+        returns the number demoted.  A no-op when unbounded."""
         with self._mutex:
             return self._enforce()
 

@@ -1,21 +1,26 @@
-"""The identity map: bidirectional OID <-> object association, and the
-bounded :class:`~repro.store.serve.cache.ObjectCache` built on it."""
+"""The identity map (:class:`~repro.store.serve.cache.ObjectCache`):
+bidirectional OID <-> object association, unbounded or bounded."""
 
 import gc
 import weakref
 
 import pytest
 
-from repro.store.cache import IdentityMap
 from repro.store.oids import Oid
 from repro.store.serve.cache import ObjectCache
 
 from tests.conftest import Person
 
 
-class TestIdentityMap:
-    def test_add_and_lookup_both_directions(self):
-        mapping = IdentityMap()
+@pytest.fixture(params=[None, 64], ids=["unbounded", "bounded"])
+def mapping(request):
+    """The identity-map contract holds whatever the capacity (64 is
+    never reached by these cases)."""
+    return ObjectCache(capacity=request.param)
+
+
+class TestIdentityContract:
+    def test_add_and_lookup_both_directions(self, mapping):
         person = Person("x")
         mapping.add(Oid(1), person)
         assert mapping.object_for(Oid(1)) is person
@@ -23,46 +28,40 @@ class TestIdentityMap:
         assert Oid(1) in mapping
         assert len(mapping) == 1
 
-    def test_missing_lookups_return_none(self):
-        mapping = IdentityMap()
+    def test_missing_lookups_return_none(self, mapping):
         assert mapping.object_for(Oid(9)) is None
         assert mapping.oid_for(Person("unmapped")) is None
 
-    def test_rebinding_same_pair_is_idempotent(self):
-        mapping = IdentityMap()
+    def test_rebinding_same_pair_is_idempotent(self, mapping):
         person = Person("x")
         mapping.add(Oid(1), person)
         mapping.add(Oid(1), person)
         assert len(mapping) == 1
 
-    def test_rebinding_oid_to_other_object_rejected(self):
-        mapping = IdentityMap()
+    def test_rebinding_oid_to_other_object_rejected(self, mapping):
         mapping.add(Oid(1), Person("a"))
         with pytest.raises(ValueError):
             mapping.add(Oid(1), Person("b"))
 
-    def test_evict_removes_both_directions(self):
-        mapping = IdentityMap()
+    def test_evict_removes_both_directions(self, mapping):
         person = Person("x")
         mapping.add(Oid(1), person)
         mapping.evict(Oid(1))
         assert mapping.object_for(Oid(1)) is None
         assert mapping.oid_for(person) is None
 
-    def test_evict_missing_is_noop(self):
-        IdentityMap().evict(Oid(404))
+    def test_evict_missing_is_noop(self, mapping):
+        mapping.evict(Oid(404))
 
-    def test_clear(self):
-        mapping = IdentityMap()
+    def test_clear(self, mapping):
         mapping.add(Oid(1), Person("a"))
         mapping.add(Oid(2), Person("b"))
         mapping.clear()
         assert len(mapping) == 0
 
-    def test_stale_id_reuse_not_confused(self):
+    def test_stale_id_reuse_not_confused(self, mapping):
         """oid_for validates the reverse entry against the forward map, so
         a recycled id() of a dead object cannot resolve to a stale OID."""
-        mapping = IdentityMap()
         person = Person("original")
         mapping.add(Oid(1), person)
         # Simulate the forward side being re-pointed (as evict+add would).
@@ -72,24 +71,20 @@ class TestIdentityMap:
         assert mapping.oid_for(person) is None
         assert mapping.oid_for(replacement) == Oid(1)
 
-    def test_items_snapshot_is_safe_to_mutate_over(self):
-        mapping = IdentityMap()
+    def test_items_snapshot_is_safe_to_mutate_over(self, mapping):
         for index in range(5):
             mapping.add(Oid(index + 1), Person(f"p{index}"))
         for oid, __ in mapping.items():
             mapping.evict(oid)  # no RuntimeError: items() snapshots
         assert len(mapping) == 0
 
-    def test_oids_set(self):
-        mapping = IdentityMap()
+    def test_oids_set(self, mapping):
         mapping.add(Oid(3), Person("a"))
         mapping.add(Oid(7), Person("b"))
         assert mapping.oids() == {Oid(3), Oid(7)}
 
-    def test_unbounded_capacity_hooks_are_noops(self):
-        mapping = IdentityMap()
+    def test_within_capacity_enforcement_is_a_noop(self, mapping):
         mapping.add(Oid(1), Person("a"))
-        assert mapping.capacity is None
         assert mapping.enforce_capacity() == 0
         assert mapping.strong_count == 1
 
@@ -110,6 +105,7 @@ class TestObjectCache:
     def test_within_capacity_everything_stays_strong(self):
         cache = ObjectCache(capacity=8)
         self.fill(cache, 5)
+        assert cache.capacity == 8
         assert cache.strong_count == 5
         assert cache.demotions == 0
 
@@ -153,9 +149,9 @@ class TestObjectCache:
         assert len(cache) == 2
 
     def test_demotion_guard_pins_refused_victims(self):
-        cache = ObjectCache(capacity=2)
         pinned = {Oid(1), Oid(2), Oid(3)}
-        cache.set_demotion_guard(lambda oid, obj: oid not in pinned)
+        cache = ObjectCache(capacity=2,
+                            guard=lambda oid, obj: oid not in pinned)
         people = self.fill(cache, 5)
         assert people
         # The three guarded objects can never leave the strong set, even
@@ -167,9 +163,8 @@ class TestObjectCache:
             assert cache.peek(oid) is not None
 
     def test_demotion_hook_fires_per_victim(self):
-        cache = ObjectCache(capacity=2)
         demoted = []
-        cache.set_demotion_hook(demoted.append)
+        cache = ObjectCache(capacity=2, on_demoted=demoted.append)
         self.fill(cache, 5)
         assert len(demoted) == 3
         assert demoted == [Oid(1), Oid(2), Oid(3)]
@@ -212,6 +207,7 @@ class TestObjectCache:
     def test_unbounded_object_cache_never_demotes(self):
         cache = ObjectCache()
         self.fill(cache, 50)
+        assert cache.capacity is None
         assert cache.strong_count == 50
         assert cache.demotions == 0
 
@@ -220,13 +216,6 @@ class TestOptimisticHit:
     """``hit()`` backs the store's lock-free read fast path: a bare
     mutex-free probe on unbounded maps, the full locked path on bounded
     caches (where a hit mutates LRU order)."""
-
-    def test_identity_map_hit_finds_mapped_objects(self):
-        mapping = IdentityMap()
-        person = Person("x")
-        mapping.add(Oid(1), person)
-        assert mapping.hit(Oid(1)) is person
-        assert mapping.hit(Oid(9)) is None
 
     def test_unbounded_cache_hit_probes_strong_tier_only(self):
         cache = ObjectCache()  # capacity=None: nothing is ever demoted

@@ -318,6 +318,35 @@ class TestFetchPlanner:
         assert len(plan) == 5
         assert plan.waves == 5
 
+    def test_cold_fault_costs_one_engine_call_per_generation(self, store):
+        """The planner's reason to exist: faulting a wide graph issues
+        one bulk ``fetch_many`` per generation of the closure and no
+        per-OID ``read`` at all, however many records come back."""
+        people = [Person(f"p{index}") for index in range(60)]
+        for index, person in enumerate(people):
+            person.spouse = Person(f"s{index}")
+        store.set_root("wide", people)
+        store.stabilize()
+        del people
+        store.evict_all()
+
+        def counts():
+            """Engine calls by op, and fault waves, from one snapshot."""
+            snapshot = store.metrics()
+            calls = {key.split("op=")[1].rstrip("}"): hist["count"]
+                     for key, hist in snapshot["histograms"].items()
+                     if key.startswith("engine_op_ns")}
+            return calls, snapshot["gauges"]["store_fault_waves_total"]
+
+        before, waves_before = counts()
+        names = [person.spouse.name for person in store.get_root("wide")]
+        assert names == [f"s{index}" for index in range(60)]
+        after, waves_after = counts()
+        # list -> 60 people -> 60 spouses: 121 records, three waves.
+        assert waves_after - waves_before == 3
+        assert after["fetch_many"] - before.get("fetch_many", 0) == 3
+        assert after.get("read", 0) == before.get("read", 0)
+
     def test_live_subgraphs_are_not_descended(self, store):
         oids = populate_chains(store, clusters=1, chain=4)
         store.evict_all()

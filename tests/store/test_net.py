@@ -475,6 +475,32 @@ class TestRouterEngine:
         finally:
             router.close()
 
+    def test_every_backend_reports_its_own_latency_histograms(
+            self, backends):
+        """``stats_full`` through the router: each server measured its
+        own share of a routed sweep, and the merged view is their sum."""
+        endpoints = [server.endpoint for server in backends]
+        with RouterEngine(endpoints) as router:
+            batch = WriteBatch()
+            for index in range(1, 129):
+                batch.write(Oid(index), b"r%07d" % index * 40)
+            router.apply(batch)
+            oids = sorted(router.oids())
+            for lo in range(0, len(oids), 32):
+                assert len(router.fetch_many(oids[lo:lo + 32])) == 32
+            body = router.stats_full()
+        assert set(body["per_server"]) == set(endpoints)
+        key = "server_op_ns{op=fetch_many}"
+        counts = []
+        for endpoint in endpoints:
+            server_body = body["per_server"][endpoint]
+            fetch = server_body["metrics"]["histograms"][key]
+            assert fetch["count"] > 0 and sum(fetch["buckets"].values()) \
+                == fetch["count"]
+            assert server_body["server"]["requests"] >= fetch["count"]
+            counts.append(fetch["count"])
+        assert body["merged"]["histograms"][key]["count"] == sum(counts)
+
     def test_routed_url_through_open_store(self, backends, registry):
         one, two = backends
         url = f"routed:{one.endpoint},{two.endpoint}"
