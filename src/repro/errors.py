@@ -24,6 +24,17 @@ class StoreClosedError(StoreError):
     """An operation was attempted on a closed store."""
 
 
+class StoreThreadError(StoreError):
+    """A store was used from a thread other than the one that opened it
+    (one thread owns an ``ObjectStore``, as with ``sqlite3``'s
+    ``check_same_thread``)."""
+
+
+class StoreConflictError(StoreError):
+    """A stabilise found that another store committed through the same
+    engine since this store last read or wrote it; nothing was written."""
+
+
 class UnknownRootError(StoreError, KeyError):
     """A named persistent root does not exist."""
 

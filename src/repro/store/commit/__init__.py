@@ -21,9 +21,8 @@ which puts an fsync floor under every commit.  This package brokers
   future a submission returns;
 * :class:`~repro.store.commit.encode.EncoderPool` — the worker pool
   behind the store's three-phase ``stabilize()``: dirty records are
-  serialised, signed and (optionally) compressed in chunks *outside*
-  the store's commit lock, streaming into the write batch as chunks
-  finish.
+  serialised, signed and (optionally) compressed in chunks, streaming
+  into the write batch as chunks finish.
 
 Engines pick a policy via storage-URL query parameters
 (``file:/p?durability=group``) — see

@@ -1,15 +1,13 @@
 """The parallel encode phase of stabilisation.
 
 :meth:`~repro.store.objectstore.ObjectStore.stabilize` runs in three
-phases — a short reachability *walk* under the commit lock, this
-*encode* phase with no lock held, and a *commit* phase back under the
-lock.  The unit of work here is a **chunk** of dirty
+phases — a reachability *walk*, this *encode* phase and a *commit*
+phase.  The unit of work here is a **chunk** of dirty
 :class:`~repro.store.serializer.Record` objects: per record the worker
 runs ``Record.to_bytes()``, the ``zlib.crc32`` signature and the
 optional per-record codec (:class:`~repro.store.serializer.RecordCodec`).
 crc32 and compression release the GIL on bytes, so chunks genuinely
-overlap on multi-core hosts, and on any host they overlap the fsync
-waits of concurrently committing threads.
+overlap on multi-core hosts.
 
 Chunks are *streamed* back in completion order — no barrier — so the
 caller's :class:`~repro.store.engine.base.WriteBatch` fills as chunks

@@ -32,29 +32,38 @@ snapshot`) and re-serialises only objects that were mutated or newly
 reached since the last stabilise.  The engine's ``record_writes`` counter
 makes that observable.
 
-The **read path is concurrent** (:mod:`repro.store.serve`): lookups take
-the read side of a writer-preferring read-write lock, so N serving
-threads resolve OIDs in parallel; faulting a missing subgraph plans its
-reference closure in engine-parallel waves *outside* the lock
-(:class:`~repro.store.serve.prefetch.FetchPlanner` over
-:meth:`~repro.store.engine.base.StorageEngine.fetch_many`) and installs
-the planned records under the write side, re-validating against whatever
-faults, refreshes or collections won the race.  With ``cache_objects``
-set, the identity map is a bounded
-:class:`~repro.store.serve.cache.ObjectCache` — at most that many clean
-objects stay strongly pinned; the tail is demoted to weak references and
-re-faulted on demand.
+**One thread owns a store**: the thread that constructs an
+``ObjectStore`` is its owner, and a call from any other thread raises
+:class:`~repro.errors.StoreThreadError` (the contract ``sqlite3``
+enforces with ``check_same_thread``).  Concurrency lives one layer
+down: engines serve concurrent readers, and a
+:class:`~repro.store.net.server.StoreServer` serves many client
+processes, each with its own store.  At most one store *writes* through
+an engine: a commit whose engine root table or allocator cursor moved
+since this store last read or wrote them raises
+:class:`~repro.errors.StoreConflictError` instead of overwriting another
+writer's roots with OIDs that collide with its own.
+
+Faulting a missing subgraph plans its reference closure in
+engine-parallel waves (:class:`~repro.store.serve.prefetch.FetchPlanner`
+over :meth:`~repro.store.engine.base.StorageEngine.fetch_many`) and then
+installs the planned records.  With ``cache_objects`` set, the identity
+map is a bounded :class:`~repro.store.serve.cache.ObjectCache` — at most
+that many clean objects stay strongly pinned; the tail is demoted to
+weak references and re-faulted on demand.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 import zlib
-from typing import Any, Optional
+from _thread import get_ident  # what threading.get_ident re-exports
+from typing import Any, NoReturn, Optional
 
 from repro.errors import (
     StoreClosedError,
+    StoreConflictError,
+    StoreThreadError,
     UnknownOidError,
     UnknownRootError,
 )
@@ -83,7 +92,6 @@ from repro.store.serializer import (
     unwrap_record,
 )
 from repro.store.serve.cache import ObjectCache
-from repro.store.serve.locks import ReadWriteLock
 from repro.store.serve.prefetch import FetchPlan, FetchPlanner
 from repro.store.weakrefs import PersistentWeakRef
 
@@ -93,16 +101,6 @@ __all__ = ["ObjectStore", "StoreStatistics", "record_refs"]
 #: cleared (None) target" in the ``_weak_stored`` cache — ``None`` is a
 #: legal cached value there.
 _WEAK_UNKNOWN = object()
-
-#: Times a fault re-plans after losing a race (a concurrent eviction
-#: invalidated its plan, or a sharded engine was read mid-commit) before
-#: falling back to planning under the exclusive lock.  The exponential
-#: backoff (1 ms doubling per retry, ~30 ms total) must outlast a
-#: sharded two-phase commit's phase-3 window, which includes per-shard
-#: fsyncs on slower disks; genuine corruption pays the same delay once
-#: and then surfaces unchanged.
-_FAULT_RETRIES = 5
-
 
 class StoreStatistics:
     """A point-in-time summary of store contents (used by the browser)."""
@@ -135,6 +133,10 @@ class ObjectStore:
                  trace_sample: int | None = None,
                  slow_trace_ms: float | None = None,
                  trace_log: str | None = None):
+        #: The owner thread: every checked call must come from it.
+        #: ``close()`` clears it, so one compare refuses both a closed
+        #: store and a foreign thread.
+        self._owner: Optional[int] = get_ident()
         if engine is None:
             if directory is None:
                 raise ValueError(
@@ -192,21 +194,14 @@ class ObjectStore:
         # pin its children through the bookkeeping.
         self._identity = ObjectCache(cache_objects, guard=self._may_demote,
                                      on_demoted=self._on_demoted)
-        self._allocator = OidAllocator(max(int(engine.next_oid), 1))
+        #: The single-writer fence: the engine's root table and
+        #: allocator cursor as this store last read or committed them.
+        #: A commit that finds either moved raises StoreConflictError.
+        self._engine_roots: dict[str, Oid] = engine.roots()
+        self._engine_next_oid = int(engine.next_oid)
+        self._allocator = OidAllocator(max(self._engine_next_oid, 1))
         self._planner = FetchPlanner(engine)
-        # The read-serving lock (writer-preferring): lookups share the
-        # read side; installing a faulted subgraph, refresh's
-        # evict-and-refault, transaction aborts and GC evictions take
-        # the write side.  Ordering: threads that hold the commit lock
-        # may take this lock, never the reverse.
-        self._serve_lock = ReadWriteLock()
-        #: Bumped under the write lock by every bulk invalidation
-        #: (garbage collection, evict_all); a fault whose plan started
-        #: under an older epoch discards the plan and re-plans, so a
-        #: freed or aborted subgraph can never be resurrected from
-        #: stale reads.
-        self._epoch = 0
-        self._roots: dict[str, Oid] = engine.roots()
+        self._roots: dict[str, Oid] = dict(self._engine_roots)
         #: oid -> (len, crc) of the stored record bytes *before* codec
         #: framing — signatures are always over raw record bytes, so a
         #: store reopened under a different ``compress=`` setting keeps
@@ -228,25 +223,6 @@ class ObjectStore:
         self.weak_rebuilds = 0
         self._active_txn = None
         self._closed = False
-        # Serialises the stabilise walk/commit phases and their
-        # bookkeeping, so several threads may call stabilize()
-        # concurrently — the encode phase and the wait for durability
-        # both run *outside* this lock, so over a pipelined engine their
-        # batches coalesce into group commits while other threads walk.
-        # Re-entrant because collect_garbage() stabilises internally.
-        self._commit_lock = threading.RLock()
-        #: Per-OID commit sequence: the walk number of the *latest*
-        #: stabilise that collected the OID as dirty.  With the encode
-        #: phase outside the lock, two concurrent stabilises can reach
-        #: their commit phase out of walk order; the later walk always
-        #: wins — the earlier one drops any OID stamped after it, so a
-        #: stale encoding can never overwrite a fresher committed one.
-        self._commit_seq: dict[Oid, int] = {}
-        self._stabilize_seq = 0
-        #: Bumped by every garbage collection; a stabilise whose walk
-        #: predates the sweep re-walks instead of committing records
-        #: that may reference freed OIDs.
-        self._gc_seq = 0
         #: The per-record codec new writes go through (``None``: raw).
         self._codec = parse_codec(compress)
         #: The encode phase's worker pool (``encode_workers=0`` keeps
@@ -254,10 +230,8 @@ class ObjectStore:
         self._encoder = EncoderPool(workers=encode_workers)
         #: Cumulative stabilise-phase counters behind :meth:`stats`, now
         #: registry instruments (``stats()`` stays as the compat view).
-        #: Every increment happens under the commit lock, which keeps
-        #: them *exact* — N racing stabilises count exactly N — not just
-        #: GIL-atomic-enough.  Instrument references are cached here so
-        #: the commit path never takes the registry's creation mutex.
+        #: Instrument references are cached here so the commit path
+        #: never takes the registry's creation mutex.
         m = self._metrics
         self._phase_counters = {
             "stabilize_count": m.counter("store_stabilize_total"),
@@ -267,7 +241,7 @@ class ObjectStore:
             "encoded_bytes": m.counter("store_encoded_bytes_total"),
             "compressed_bytes": m.counter("store_compressed_bytes_total"),
         }
-        #: Lock-free identity-map hits on the seqlock fast path.  A
+        #: ``object_for`` calls answered from the identity map.  A
         #: plain int + pull gauge, *not* a Counter: the hottest read
         #: path in the store pays one ``+= 1``, identical with metrics
         #: on or off (a Counter would cost a bound-method call per
@@ -276,10 +250,6 @@ class ObjectStore:
         m.gauge_fn("store_fastpath_hits_total",
                    lambda: self._fastpath_hits)
         # Pull gauges over the serving components' native counters.
-        m.gauge_fn("store_lock_writer_wait_ns",
-                   lambda: self._serve_lock.writer_wait_ns)
-        m.gauge_fn("store_lock_write_acquires_total",
-                   lambda: self._serve_lock.write_acquires)
         m.gauge_fn("store_cache_live_objects",
                    lambda: len(self._identity))
         m.gauge_fn("store_cache_demotions_total",
@@ -301,14 +271,6 @@ class ObjectStore:
         #: Ticket of the most recent engine commit this store submitted
         #: (for awaiting an ``async``-policy engine's durability).
         self.last_commit = None
-        #: Count of write-side operations (stabilise, garbage collection)
-        #: currently in flight.  Read *without* a lock by the serving
-        #: fast path (plain int loads are atomic under the GIL): while a
-        #: commit is running, readers route through the shared lock —
-        #: whose sleeping naturally throttles a reader stampede — so the
-        #: committing thread and the engine worker threads it waits on
-        #: are never starved of scheduler slots by spinning cache hits.
-        self._write_busy = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -369,6 +331,7 @@ class ObjectStore:
         if self._closed:
             return
         self._closed = True
+        self._owner = None
         self._encoder.close()
         self._engine.close()
         self._tracer.close()
@@ -402,8 +365,16 @@ class ObjectStore:
         return self._closed
 
     def _check_open(self) -> None:
+        if get_ident() != self._owner:
+            self._refuse()
+
+    def _refuse(self) -> NoReturn:
         if self._closed:
             raise StoreClosedError("the store has been closed")
+        raise StoreThreadError(
+            f"this store is owned by thread {self._owner} and cannot be "
+            f"used from thread {get_ident()}"
+        )
 
     # ------------------------------------------------------------------
     # roots
@@ -421,7 +392,8 @@ class ObjectStore:
 
     def get_root(self, name: str) -> Any:
         """The object bound to root ``name`` (fetched if not yet live)."""
-        self._check_open()
+        if get_ident() != self._owner:  # _check_open, inlined: hot path
+            self._refuse()
         try:
             oid = self._roots[name]
         except KeyError:
@@ -455,6 +427,7 @@ class ObjectStore:
 
     def restore_root_bindings(self, bindings: dict[str, Oid]) -> None:
         """Replace the live root table (transaction abort)."""
+        self._check_open()
         self._roots = dict(bindings)
 
     # ------------------------------------------------------------------
@@ -472,15 +445,12 @@ class ObjectStore:
                 # Validate up front that the object is storable at all, so
                 # errors surface at set_root time rather than at stabilise.
                 self._serializer.references_of(obj)
-            with self._serve_lock.write_locked():
-                oid = self._identity.oid_for(obj)
-                if oid is None:
-                    oid = self._allocator.allocate()
-                    # No capacity enforcement here: a stabilise walk
-                    # registering thousands of new (dirty, pinned)
-                    # objects must not demote the clean tail one victim
-                    # at a time mid-walk; the next fetch trims.
-                    self._identity.add(oid, obj, enforce=False)
+            oid = self._allocator.allocate()
+            # No capacity enforcement here: a stabilise walk registering
+            # thousands of new (dirty, pinned) objects must not demote
+            # the clean tail one victim at a time mid-walk; the next
+            # fetch trims.
+            self._identity.add(oid, obj, enforce=False)
         return oid
 
     def is_stored(self, oid: Oid) -> bool:
@@ -499,50 +469,12 @@ class ObjectStore:
         Fetch is closure-based: the whole subgraph below ``oid`` that is
         not yet live is decoded in two phases (shells, then fills), so
         shared structure and cycles come back exactly as stored.
-
-        Thread-safe: the hot path (the object is live) is an optimistic
-        *lock-free* probe — it samples the serve lock's seqlock epoch,
-        reads the identity map (whose single operations are atomic),
-        and accepts the result only if no write-locked section
-        overlapped the probe.  A write section installs shells before
-        filling them, so only a probe provably free of such overlap may
-        trust what it saw; anything else falls back to the shared read
-        lock.  Besides being faster, the lock-free hit keeps a stampede
-        of cache-hit readers off the lock's condition mutex, whose
-        convoy on few-core hosts can starve a concurrent stabilise for
-        tens of seconds.  A fault plans its closure in engine-parallel
-        waves *without* holding the lock — so N threads faulting
-        disjoint subgraphs overlap their engine I/O — and installs the
-        result under the write lock, re-validating against concurrent
-        faults and evictions (losing a race costs a re-plan, never a
-        torn object or a duplicate identity).
         """
-        self._check_open()
-        lock = self._serve_lock
-        before = lock.seq
-        # Optimistic only in the quiescent state: no serve-side writer
-        # (odd seq) and no stabilise/GC in flight (`_write_busy`).  The
-        # second condition is purely about scheduling, not safety — a
-        # spinning cache-hit loop that never sleeps monopolises the
-        # interpreter on few-core hosts, starving the committing thread
-        # and the engine workers it hands off to; routing readers
-        # through the shared lock while a commit runs puts them to
-        # sleep on contention instead.
-        if not before & 1 and not self._write_busy:
-            live = self._identity.hit(oid)
-            if live is not None and lock.seq == before:
-                self._fastpath_hits += 1
-                return live
-        else:
-            # A commit (or serve-side writer) is in flight.  Yield the
-            # GIL for half a millisecond before queueing on the shared
-            # lock: the throttle itself must *sleep*, not merely take a
-            # different lock — N readers cycling any mutex still starve
-            # the commit's cross-thread handoffs on few-core hosts.
-            time.sleep(0.0005)
-        with lock.read_locked():
-            live = self._identity.object_for(oid)
+        if get_ident() != self._owner:  # _check_open, inlined: hot path
+            self._refuse()
+        live = self._identity.object_for(oid)
         if live is not None:
+            self._fastpath_hits += 1
             return live
         return self._fault(oid)
 
@@ -552,70 +484,37 @@ class ObjectStore:
 
     def _fault(self, oid: Oid) -> Any:
         with self._tracer.root("store.fault"):
-            return self._fault_miss(oid)
+            if not self._engine.contains(oid):
+                raise UnknownOidError(int(oid))
+            return self._plan_and_install(oid)
 
-    def _fault_miss(self, oid: Oid) -> Any:
-        if not self._engine.contains(oid):
-            raise UnknownOidError(int(oid))
-        delay = 0.001
-        for attempt in range(_FAULT_RETRIES):
-            epoch = self._epoch
-            try:
-                plan = self._planner.closure([oid], self._is_live)
-            except UnknownOidError:
-                if attempt == _FAULT_RETRIES - 1:
-                    raise
-                # A reference did not resolve: either genuine corruption
-                # (the retries re-raise it unchanged) or a transient torn
-                # window — a sharded engine read mid-two-phase-commit, or
-                # a GC sweep racing this plan.  Back off briefly and
-                # re-plan.
-                time.sleep(delay)
-                delay *= 2
-                continue
-            with self._serve_lock.write_locked():
-                obj = self._install_plan(oid, plan, epoch)
+    def _plan_and_install(self, oid: Oid) -> Any:
+        """Plan the closure below a non-live ``oid`` and install it.
+
+        A plan goes stale only when a weak-tier object it counted on as
+        live is collected before the install — CPython's GC may run at
+        any allocation — and then it is simply planned again.
+        """
+        while True:
+            plan = self._planner.closure([oid], self._is_live)
+            obj = self._install_plan(oid, plan)
             if obj is not None:
                 return obj
-            # The plan went stale (a concurrent refresh/eviction removed
-            # an object the plan assumed live, or the epoch moved).
-        # Final attempt: plan *and* install under the write lock, where
-        # nothing can shift underneath the plan.
-        with self._serve_lock.write_locked():
-            plan = self._planner.closure([oid], self._is_live)
-            obj = self._install_plan(oid, plan, self._epoch)
-            if obj is None:  # pragma: no cover - exclusive plan is stable
-                raise UnknownOidError(int(oid))
-            return obj
 
-    def _install_plan(self, target: Oid, plan: FetchPlan,
-                      epoch: int) -> Optional[Any]:
+    def _install_plan(self, target: Oid, plan: FetchPlan) -> Optional[Any]:
         """Install a planned closure into the identity map; returns the
         target object, or ``None`` when the plan is stale and the caller
-        must re-plan.  Caller holds the write lock.
+        must re-plan.
         """
-        if epoch != self._epoch:
-            return None
-        live = self._identity.peek(target)
-        if live is not None:
-            return live  # another thread faulted it first
-        # Skip records that went live since planning; what remains must
-        # resolve every reference within itself or the live map, or the
-        # plan raced an eviction and is stale.  Live dependencies are
-        # *pinned* (a strong reference held for the rest of the install)
-        # — a weak-tier dependency judged alive here could otherwise be
-        # collected before phase 2 resolves it, since object death needs
-        # no lock.
-        needed: dict[Oid, tuple[bytes, Record]] = {}
-        for record_oid, entry in plan.records.items():
-            if self._identity.peek(record_oid) is None:
-                needed[record_oid] = entry
-        if target not in needed:
-            return None
+        records = plan.records
+        # Every reference must resolve within the plan or the live map.
+        # Live dependencies are *pinned* (a strong reference held for
+        # the rest of the install): a weak-tier dependency judged alive
+        # here could otherwise be collected before phase 2 resolves it.
         pinned: dict[Oid, Any] = {}
-        for record_oid, (_, record) in needed.items():
+        for _, record in records.values():
             for ref in record_refs(record, include_weak=True):
-                if ref in needed or ref in pinned:
+                if ref in records or ref in pinned:
                     continue
                 live_ref = self._identity.peek(ref)
                 if live_ref is None:
@@ -626,13 +525,13 @@ class ObjectStore:
             # Phase 1: shells.  Capacity enforcement is deferred to the
             # end of the install: demoting an LRU victim mid-install
             # could kill an object a later fill still resolves.
-            for record_oid, (_, record) in needed.items():
+            for record_oid, (_, record) in records.items():
                 self._identity.add(record_oid,
                                    self._serializer.make_shell(record),
                                    enforce=False)
                 installed.append(record_oid)
             # Phase 2: fill.
-            for record_oid, (_, record) in needed.items():
+            for record_oid, (_, record) in records.items():
                 shell = self._identity.peek(record_oid)
                 self._serializer.fill_shell(shell, record, self._resolve)
         except BaseException:
@@ -647,7 +546,7 @@ class ObjectStore:
         # (their live state *is* the stored state), so seed the dirty
         # tracker — unless an evolution converter ran, in which case the
         # next stabilise must rewrite the record under the new schema.
-        for record_oid, (raw, record) in needed.items():
+        for record_oid, (raw, record) in records.items():
             self._stored_sig[record_oid] = (len(raw), zlib.crc32(raw))
             obj = self._identity.peek(record_oid)
             snap = self._snapshot_if_clean(obj, record)
@@ -685,25 +584,14 @@ class ObjectStore:
         return Record.from_bytes(raw)
 
     def refresh(self, obj: Any) -> Any:
-        """Discard in-memory state of ``obj``'s OID and re-fetch from disk.
-
-        Evict-and-refault is one atomic step under the write lock: a
-        concurrent ``object_for`` either sees the old object (before) or
-        the re-fetched one (after) — it can no longer slip between the
-        eviction and the re-fetch and resurrect the stale shell.
-        """
+        """Discard in-memory state of ``obj``'s OID and re-fetch from disk."""
         self._check_open()
-        with self._serve_lock.write_locked():
-            oid = self._identity.oid_for(obj)
-            if oid is None or not self._engine.contains(oid):
-                raise UnknownOidError("object is not stored")
-            self._identity.evict(oid)
-            self._shadow.pop(oid, None)
-            plan = self._planner.closure([oid], self._is_live)
-            fresh = self._install_plan(oid, plan, self._epoch)
-            if fresh is None:  # pragma: no cover - exclusive plan is stable
-                raise UnknownOidError(int(oid))
-            return fresh
+        oid = self._identity.oid_for(obj)
+        if oid is None or not self._engine.contains(oid):
+            raise UnknownOidError("object is not stored")
+        self._identity.evict(oid)
+        self._shadow.pop(oid, None)
+        return self._plan_and_install(oid)
 
     def evict_all(self) -> None:
         """Drop every live object; subsequent fetches re-read from disk.
@@ -712,10 +600,9 @@ class ObjectStore:
         transaction become unreachable through the store, and fresh fetches
         observe the last stabilised state.
         """
-        with self._serve_lock.write_locked():
-            self._identity.clear()
-            self._shadow.clear()
-            self._epoch += 1
+        self._check_open()
+        self._identity.clear()
+        self._shadow.clear()
 
     # -- bounded-cache policy ------------------------------------------
 
@@ -773,120 +660,47 @@ class ObjectStore:
         stabilise, per the snapshot tracker — are re-serialised.  Changed
         records go to the engine as one atomic batch.
 
-        The work runs in **three phases** (the write-path twin of the
-        read path's plan-outside-the-lock shape):
+        The work runs in **three phases**:
 
-        1. *Walk* — under the commit lock: reachability, dirty detection
-           and flattening (OID assignment needs the identity map), which
-           yields the dirty ``(oid, record)`` set and fresh shadows.
-        2. *Encode* — no lock held: the dirty set is chunked onto the
-           encoder pool, where ``to_bytes()`` + crc signature + optional
-           per-record compression run; encoded chunks stream into the
-           write batch in completion order.  crc and compression release
-           the GIL, so encode work overlaps other threads' walks and
-           commit waits.
-        3. *Commit* — back under the lock: the batch is submitted and
-           the optimistic bookkeeping installed, with the pre-commit
-           values kept for rollback.  Per-OID commit sequence numbers
-           (stamped during the walk) resolve races between stabilises
-           that reach this phase out of walk order, and a garbage
-           collection between walk and commit forces a re-walk.
+        1. *Walk* — reachability, dirty detection and flattening (OID
+           assignment needs the identity map), which yields the dirty
+           ``(oid, record)`` set and fresh shadows.
+        2. *Encode* — the dirty set is chunked onto the encoder pool,
+           where ``to_bytes()`` + crc signature + optional per-record
+           compression run; encoded chunks stream into the write batch
+           in completion order.
+        3. *Commit* — the single-writer fence is checked, the batch
+           submitted and the bookkeeping installed, with the pre-commit
+           values kept so a failed durability wait re-dirties exactly
+           what the batch covered.
 
-        Thread-safe: over an engine with a ``group`` commit pipeline,
-        stabilises from several threads coalesce into shared group
-        commits because each thread waits for durability outside the
-        lock.  Over an ``async`` pipeline the call returns once the
-        batch is submitted; ``self.last_commit`` is its durability
-        ticket and :meth:`flush` the barrier.
+        Over an ``async`` pipeline the call returns once the batch is
+        submitted; ``self.last_commit`` is its durability ticket and
+        :meth:`flush` the barrier.
+
+        Raises :class:`~repro.errors.StoreConflictError`, writing
+        nothing, when the engine's root table or allocator cursor moved
+        since this store last read or committed them — another store
+        wrote through the same engine, and committing would overwrite
+        its roots with OIDs that collide with its own.  Two commits in
+        flight at the same instant are not detected: that needs a
+        compare-and-set inside the engine.
         """
         self._check_open()
         with self._tracer.root("store.stabilize"):
             return self._stabilize_traced()
 
     def _stabilize_traced(self) -> int:
-        """The stabilise loop proper, run under :meth:`stabilize`'s root
+        """The stabilise proper, run under :meth:`stabilize`'s root
         trace scope (the shared null scope when tracing is off)."""
-        with self._commit_lock:
-            self._write_busy += 1
-        try:
-            while True:
-                outcome = self._stabilize_once()
-                if outcome is None:
-                    # A garbage collection slipped between our walk and
-                    # commit phases: the encoded records could reference
-                    # freed OIDs.  Rare (collections take the commit lock
-                    # for their whole mark/sweep), so simply re-walk.
-                    continue
-                written, seq, ticket, rollback = outcome
-                if ticket is not None and not self._engine.asynchronous:
-                    # The durability wait happens with no lock held, so
-                    # stabilises from several threads coalesce into
-                    # shared group commits over a pipelined engine.
-                    wait_start = time.perf_counter_ns()
-                    try:
-                        ticket.result()
-                    except BaseException:
-                        with self._commit_lock:
-                            self._rollback_bookkeeping(seq, *rollback)
-                        raise
-                    with self._commit_lock:
-                        self._phase_counters["commit_ns"].inc(
-                            time.perf_counter_ns() - wait_start)
-                return written
-        finally:
-            with self._commit_lock:
-                self._write_busy -= 1
-
-    def _stabilize_once(self):
-        """One walk/encode/commit attempt.
-
-        Returns ``None`` when a concurrent garbage collection
-        invalidated the walk (the caller must retry), else a
-        ``(written, seq, ticket, rollback)`` tuple — ``ticket`` is the
-        durability ticket of the submitted batch (``None`` when the
-        checkpoint was clean) and ``rollback`` the pre-commit
-        bookkeeping for a failed wait.
-
-        Small dirty sets (at most one encode chunk's worth) run all
-        three phases under one continuous hold of the commit lock:
-        there is no encode parallelism to win, and the continuous hold
-        keeps the incremental-commit profile identical to the
-        pre-pipeline write path.  Only dirty sets large enough to
-        chunk release the lock for the encode phase.
-        """
-        # ---- phase 1: walk (commit lock held, no engine I/O) ----------
+        # ---- phase 1: walk --------------------------------------------
         walk_start = time.perf_counter_ns()
-        with self._commit_lock:
-            gc_seq = self._gc_seq
-            self._stabilize_seq += 1
-            seq = self._stabilize_seq
-            reachable, records, fresh_shadows = self._flatten_from_roots()
-            # Walk-time stored signatures drive the encode phase's
-            # unchanged-bytes filter; the stamps make this walk the
-            # current owner of its dirty OIDs.
-            prev_sigs = {oid: self._stored_sig.get(oid) for oid in records}
-            for oid in records:
-                self._commit_seq[oid] = seq
-            walk_ns = time.perf_counter_ns() - walk_start
-            active = current_span()
-            if active is not None:
-                active.child("store.walk", time.time_ns() - walk_ns,
-                             walk_ns)
-            if (self._encoder.workers == 0
-                    or len(records) <= self._encoder.chunk_records):
-                # Small dirty set: encode inline under the same lock hold
-                # — a lock bounce costs more than the encode itself.
-                return self._encode_and_commit(seq, gc_seq, records,
-                                               prev_sigs, fresh_shadows,
-                                               walk_ns)
-        return self._encode_and_commit(seq, gc_seq, records, prev_sigs,
-                                       fresh_shadows, walk_ns)
+        _, records, fresh_shadows = self._flatten_from_roots()
+        walk_ns = time.perf_counter_ns() - walk_start
+        active = current_span()
+        if active is not None:
+            active.child("store.walk", time.time_ns() - walk_ns, walk_ns)
 
-    def _encode_and_commit(self, seq, gc_seq, records, prev_sigs,
-                           fresh_shadows, walk_ns):
-        """Phases 2 and 3 of one stabilise attempt.  Called either under
-        the commit lock (small dirty set — the phase-3 ``with`` is a
-        reentrant no-op) or without it (pipelined encode)."""
         # ---- phase 2: encode (chunks stream in) -----------------------
         encode_start = time.perf_counter_ns()
         batch = WriteBatch()
@@ -894,67 +708,47 @@ class ObjectStore:
         encoded_bytes = 0
         stored_bytes = 0
         group_of = getattr(self._engine, "shard_of", None)
-        try:
-            for chunk in self._encoder.encode_stream(records.values(),
-                                                     self._codec,
-                                                     group_of=group_of):
-                for item in chunk:
-                    encoded_bytes += item.raw_len
-                    stored_bytes += len(item.stored)
-                    if prev_sigs[item.oid] == item.sig:
-                        # Bytes identical to the stored record (a
-                        # conservative snapshot fired): nothing to write.
-                        continue
-                    batch.write(item.oid, item.stored)
-                    written_sigs[item.oid] = item.sig
-        except BaseException:
-            # An aborted encode must leave no trace: signatures and
-            # shadows were never touched, so only our walk stamps need
-            # releasing (entries a later walk re-stamped are theirs).
-            with self._commit_lock:
-                for oid in records:
-                    if self._commit_seq.get(oid) == seq:
-                        del self._commit_seq[oid]
-            raise
+        for chunk in self._encoder.encode_stream(records.values(),
+                                                 self._codec,
+                                                 group_of=group_of):
+            for item in chunk:
+                encoded_bytes += item.raw_len
+                stored_bytes += len(item.stored)
+                if self._stored_sig.get(item.oid) == item.sig:
+                    # Bytes identical to the stored record (a
+                    # conservative snapshot fired): nothing to write.
+                    continue
+                batch.write(item.oid, item.stored)
+                written_sigs[item.oid] = item.sig
         encode_ns = time.perf_counter_ns() - encode_start
         active = current_span()
         if active is not None:
             active.child("store.encode", time.time_ns() - encode_ns,
                          encode_ns)
 
-        # ---- phase 3: commit (commit lock re-taken) -------------------
+        # ---- phase 3: commit ------------------------------------------
         commit_start = time.perf_counter_ns()
-        with trace_span("store.commit"), self._commit_lock:
-            if self._gc_seq != gc_seq:
-                for oid in records:
-                    if self._commit_seq.get(oid) == seq:
-                        del self._commit_seq[oid]
-                return None
-            # OIDs a later walk collected after ours: that stabilise
-            # observed fresher state, so our encoding must not land.
-            superseded = {oid for oid in records
-                          if self._commit_seq.get(oid, seq) > seq}
-            if superseded:
-                batch.writes = [(oid, raw) for oid, raw in batch.writes
-                                if oid not in superseded]
-                written_sigs = {oid: sig for oid, sig in written_sigs.items()
-                                if oid not in superseded}
-                fresh_shadows = {oid: snap
-                                 for oid, snap in fresh_shadows.items()
-                                 if oid not in superseded}
+        with trace_span("store.commit"):
+            engine_roots = self._engine.roots()
+            engine_next_oid = int(self._engine.next_oid)
+            if (engine_roots != self._engine_roots
+                    or engine_next_oid != self._engine_next_oid):
+                raise StoreConflictError(
+                    "another store has committed through this engine since "
+                    "this store last read or wrote it (roots or OID "
+                    "allocator moved); reopen the store to see its state"
+                )
             weak_targets = {
                 oid: (record.payload.oid
                       if isinstance(record.payload, Ref) else None)
                 for oid, record in records.items()
-                if record.kind == KIND_WEAKREF and oid not in superseded
+                if record.kind == KIND_WEAKREF
             }
-            # Roots and the allocator cursor are compared against the
-            # engine *here*, not at walk time: a concurrent stabilise
-            # may have committed newer values since our walk.
-            if self._roots != self._engine.roots():
+            if self._roots != engine_roots:
                 batch.set_roots(self._roots)
-            if int(self._allocator.next_oid) != self._engine.next_oid:
-                batch.advance_next_oid(int(self._allocator.next_oid))
+            next_oid = int(self._allocator.next_oid)
+            if next_oid != engine_next_oid:
+                batch.advance_next_oid(next_oid)
             counters = self._phase_counters
             counters["stabilize_count"].inc()
             counters["walk_ns"].inc(walk_ns)
@@ -969,53 +763,57 @@ class ObjectStore:
                 self._weak_stored.update(weak_targets)
                 counters["commit_ns"].inc(
                     time.perf_counter_ns() - commit_start)
-                return 0, seq, None, None
-            # Bookkeeping is committed optimistically under the lock (the
-            # engine's pending overlay already serves the new state to
-            # readers); the pre-commit values are kept so a failed commit
+                return 0
+            # Bookkeeping is committed optimistically (a pipelined
+            # engine's pending overlay already serves the new state);
+            # the pre-commit values are kept so a failed commit
             # re-dirties exactly what it covered.
-            rollback_sigs = {oid: prev_sigs[oid] for oid in written_sigs}
-            prev_shadows = {oid: self._shadow.get(oid)
-                            for oid in fresh_shadows}
-            prev_weak = {oid: self._weak_stored.get(oid, _WEAK_UNKNOWN)
-                         for oid in weak_targets}
+            rollback = (
+                {oid: self._stored_sig.get(oid) for oid in written_sigs},
+                {oid: self._shadow.get(oid) for oid in fresh_shadows},
+                {oid: self._weak_stored.get(oid, _WEAK_UNKNOWN)
+                 for oid in weak_targets},
+                self._engine_roots, self._engine_next_oid,
+            )
             ticket = self._engine.apply_async(batch)
             self.last_commit = ticket
             self._stored_sig.update(written_sigs)
             self._shadow.update(fresh_shadows)
             self._weak_stored.update(weak_targets)
-            counters["commit_ns"].inc(time.perf_counter_ns() - commit_start)
-        rollback = (rollback_sigs, prev_shadows, prev_weak)
-        return len(batch.writes), seq, ticket, rollback
+            self._engine_roots = dict(self._roots)
+            self._engine_next_oid = next_oid
+        if not self._engine.asynchronous:
+            try:
+                ticket.result()
+            except BaseException:
+                self._rollback_bookkeeping(*rollback)
+                raise
+        counters["commit_ns"].inc(time.perf_counter_ns() - commit_start)
+        return len(batch.writes)
 
-    def _rollback_bookkeeping(self, seq: int,
-                              rollback_sigs: dict[Oid, Any],
+    def _rollback_bookkeeping(self, prev_sigs: dict[Oid, Any],
                               prev_shadows: dict[Oid, Any],
-                              prev_weak: dict[Oid, Any]) -> None:
-        """Undo one failed commit's optimistic bookkeeping (caller holds
-        the commit lock).  Sequence-guarded: an OID a later walk stamped
-        belongs to that stabilise now — its bookkeeping stands."""
-        for oid, sig in rollback_sigs.items():
-            if self._commit_seq.get(oid) != seq:
-                continue
+                              prev_weak: dict[Oid, Any],
+                              engine_roots: dict[str, Oid],
+                              engine_next_oid: int) -> None:
+        """Undo one failed commit's optimistic bookkeeping."""
+        for oid, sig in prev_sigs.items():
             if sig is None:
                 self._stored_sig.pop(oid, None)
             else:
                 self._stored_sig[oid] = sig
         for oid, snap in prev_shadows.items():
-            if self._commit_seq.get(oid) != seq:
-                continue
             if snap is None:
                 self._shadow.pop(oid, None)
             else:
                 self._shadow[oid] = snap
         for oid, target in prev_weak.items():
-            if self._commit_seq.get(oid) != seq:
-                continue
             if target is _WEAK_UNKNOWN:
                 self._weak_stored.pop(oid, None)
             else:
                 self._weak_stored[oid] = target
+        self._engine_roots = engine_roots
+        self._engine_next_oid = engine_next_oid
 
     def _flatten_from_roots(self) -> tuple[set[Oid], dict[Oid, Record],
                                            dict[Oid, Any]]:
@@ -1033,11 +831,9 @@ class ObjectStore:
         live_worklist: list[Any] = []
         stored_worklist: list[Oid] = []
 
-        # Snapshot the root table: set_root from another thread must not
-        # resize the dict under this iteration.  peek() rather than
-        # object_for(): a full walk must not churn the bounded cache's
-        # recency order.
-        for oid in list(self._roots.values()):
+        # peek() rather than object_for(): a full walk must not churn
+        # the bounded cache's recency order.
+        for oid in self._roots.values():
             obj = self._identity.peek(oid)
             if obj is not None:
                 live_worklist.append(obj)
@@ -1135,20 +931,8 @@ class ObjectStore:
         Returns the number of freed objects.  Mirrors the paper's Figure 7
         requirement: hyper-programs held only through weak references become
         collectable once no strong user references remain.
-
-        Holds the commit lock for the whole mark/sweep: a stabilise
-        committing fresh objects between the mark walk and the victim
-        sweep would get them deleted as garbage.
         """
         self._check_open()
-        with self._commit_lock:
-            self._write_busy += 1
-            try:
-                return self._collect_garbage_locked()
-            finally:
-                self._write_busy -= 1
-
-    def _collect_garbage_locked(self) -> int:
         # Bring the durable state up to date first, so the mark phase can
         # run purely over stored records: collecting against a stale disk
         # image could free objects the durable graph still references.
@@ -1194,30 +978,19 @@ class ObjectStore:
             self._stored_sig[oid] = (len(raw), zlib.crc32(raw))
             # Every write here is a cleared weak record.
             self._weak_stored[oid] = None
-        # Invalidate any stabilise caught between its walk and commit
-        # phases: its encoded records may reference OIDs this sweep just
-        # freed, so it must re-walk (see ``_stabilize_once``).
-        self._gc_seq += 1
-        # Evictions happen exclusively against the serving threads, and
-        # the epoch moves: a fault whose plan predates this sweep could
-        # otherwise install freed records from its stale reads.
-        with self._serve_lock.write_locked():
-            # Clear live weak references pointing at freed objects —
-            # before the victims leave the identity map, while their
-            # targets still resolve to OIDs.
-            for oid, obj in self._identity.items():
-                if isinstance(obj, PersistentWeakRef) \
-                        and obj.get() is not None:
-                    target_oid = self._identity.oid_for(obj.get())
-                    if target_oid is not None and target_oid in freed:
-                        obj.clear()
-            for oid in victims:
-                self._identity.evict(oid)
-                self._shadow.pop(oid, None)
-                self._stored_sig.pop(oid, None)
-                self._weak_stored.pop(oid, None)
-                self._commit_seq.pop(oid, None)
-            self._epoch += 1
+        # Clear live weak references pointing at freed objects — before
+        # the victims leave the identity map, while their targets still
+        # resolve to OIDs.
+        for oid, obj in self._identity.items():
+            if isinstance(obj, PersistentWeakRef) and obj.get() is not None:
+                target_oid = self._identity.oid_for(obj.get())
+                if target_oid is not None and target_oid in freed:
+                    obj.clear()
+        for oid in victims:
+            self._identity.evict(oid)
+            self._shadow.pop(oid, None)
+            self._stored_sig.pop(oid, None)
+            self._weak_stored.pop(oid, None)
         # Reclaim space the deletions left behind.
         self._engine.compact()
         return len(victims)
@@ -1281,9 +1054,8 @@ class ObjectStore:
         (``encode_count`` and ``weak_rebuilds`` keep counting).
         """
         measured = self._metrics.enabled
-        with self._commit_lock:
-            out = {name: counter.value if measured else None
-                   for name, counter in self._phase_counters.items()}
+        out = {name: counter.value if measured else None
+               for name, counter in self._phase_counters.items()}
         out["encode_count"] = self.encode_count
         out["weak_rebuilds"] = self.weak_rebuilds
         return out

@@ -1,16 +1,9 @@
-"""The read-serving subsystem: concurrent fetch over a bounded cache.
-
-The store's write path went concurrent in the commit-pipeline cycle
-(``stabilize()`` is thread-safe and group-commits coalesce); this package
-supplies the matching read path, so N serving threads can resolve OID
-graphs against a live store:
+"""The read-serving subsystem: faulting over a bounded cache.
 
 * :class:`~repro.store.serve.locks.ReadWriteLock` — a writer-preferring
-  read-write lock.  The store holds the read side for identity-map
-  lookups (many threads at once) and the write side for the compound
-  operations that must be atomic against them: installing a faulted
-  subgraph, ``refresh``'s evict-and-refault, garbage-collection
-  evictions.
+  read-write lock the memory and file engines guard their state with,
+  so a store server's connection threads read in parallel.  (The store
+  itself takes no lock: one thread owns it.)
 * :class:`~repro.store.serve.cache.ObjectCache` — the bounded identity
   map: an LRU of strong references over a weak-reference tail, so a
   store serving millions of objects keeps at most ``cache_objects``

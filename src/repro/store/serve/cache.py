@@ -43,26 +43,14 @@ clean-state snapshot of the victim — a snapshot holds strong references
 to the victim's children and would otherwise keep whole demoted chains
 alive through the bookkeeping rather than through the object graph.
 
-The dirty-check has one unavoidable race: mutating a plain Python
-object takes no lock, so a mutation landing in the instant between the
-guard's clean-judgement and the demotion leaves a dirty object in the
-weak tier.  The contract therefore is: **a thread that mutates an
-object while other threads are fetching must keep it alive (hold a
-strong reference) until the next stabilise** — the same rule as for
-objects mutated after demotion.  Single-threaded mutators never hit
-this: their mutations happen strictly between enforcement points, and
-a dirty victim is always refused.
-
-All methods are thread-safe: the map carries its own mutex, so concurrent
-readers can share the store's read lock while still mutating LRU
-bookkeeping safely.  The mutex covers single operations only — compound
-invariants (fault installation, evict-and-refault) are the store's
-:class:`~repro.store.serve.locks.ReadWriteLock`'s job.
+The cache takes no lock: it belongs to one store, and a store to one
+thread (see :class:`~repro.store.objectstore.ObjectStore`), so mutations
+happen strictly between enforcement points and a dirty victim is always
+refused.
 """
 
 from __future__ import annotations
 
-import threading
 import weakref
 from collections import OrderedDict
 from typing import Any, Callable, Iterator, Optional
@@ -86,8 +74,6 @@ class ObjectCache:
         self._capacity = capacity
         self._guard = guard
         self._demotion_hook = on_demoted
-        # RLock: compound tier moves call back into single operations.
-        self._mutex = threading.RLock()
         #: The strong tier, in LRU order.
         self._by_oid: OrderedDict[Oid, Any] = OrderedDict()
         self._oid_by_id: dict[int, Oid] = {}
@@ -106,8 +92,7 @@ class ObjectCache:
     # -- lookups ---------------------------------------------------------
 
     def _weak_live(self, oid: Oid) -> Optional[Any]:
-        """Resolve a weak entry, purging it if the object has died.
-        Caller holds the mutex."""
+        """Resolve a weak entry, purging it if the object has died."""
         entry = self._weak.get(oid)
         if entry is None:
             return None
@@ -120,78 +105,61 @@ class ObjectCache:
         return obj
 
     def object_for(self, oid: Oid) -> Optional[Any]:
-        """The live object for ``oid`` (counts as a *use*: it refreshes
-        recency and promotes a demoted object back to the hot set)."""
-        with self._mutex:
-            obj = self._by_oid.get(oid)
-            if obj is not None:
-                self._by_oid.move_to_end(oid)
-                return obj
-            obj = self._weak_live(oid)
-            if obj is not None:
-                # Promote back into the hot set; someone is using it.
-                del self._weak[oid]
-                self._by_oid[oid] = obj
-                self._enforce()
-            return obj
+        """The live object for ``oid``.
 
-    def hit(self, oid: Oid) -> Optional[Any]:
-        """Optimistic probe for the store's lock-free read fast path.
-
-        Unbounded caches answer with a bare ``dict.get``, no mutex: there
-        is no LRU order to maintain and nothing is ever demoted, a single
-        ``dict`` operation is atomic under the GIL, and the *caller*
-        validates against overlapping write sections with the serve
-        lock's seqlock epoch, retaking the locked path on any overlap or
-        miss.  Bounded caches keep the mutex: a hit moves the entry in
-        the LRU order and may promote it out of the weak tail, neither
-        of which is a single atomic operation.  The distinction matters
-        under reader stampedes — see
-        :meth:`~repro.store.objectstore.ObjectStore.object_for`.
+        Unbounded, this is a bare ``dict.get``: there is no LRU order to
+        maintain and nothing is ever demoted.  Bounded, a hit counts as
+        a *use*: it refreshes recency and promotes a demoted object back
+        to the hot set.
         """
         if self._capacity is None:
             return self._by_oid.get(oid)
-        return self.object_for(oid)
+        obj = self._by_oid.get(oid)
+        if obj is not None:
+            self._by_oid.move_to_end(oid)
+            return obj
+        obj = self._weak_live(oid)
+        if obj is not None:
+            # Promote back into the hot set; someone is using it.
+            del self._weak[oid]
+            self._by_oid[oid] = obj
+            self.enforce_capacity()
+        return obj
 
     def peek(self, oid: Oid) -> Optional[Any]:
         """Like :meth:`object_for` but without recency side effects —
         internal walks (stabilise, GC) use this so a full traversal does
         not churn the LRU order."""
-        with self._mutex:
-            obj = self._by_oid.get(oid)
-            if obj is not None:
-                return obj
-            return self._weak_live(oid)
+        obj = self._by_oid.get(oid)
+        if obj is not None:
+            return obj
+        return self._weak_live(oid)
 
     def oid_for(self, obj: Any) -> Optional[Oid]:
-        with self._mutex:
-            oid = self._oid_by_id.get(id(obj))
-            if oid is None:
-                return None
-            # Guard against id() collisions with unmapped objects: the
-            # entry is only valid if the mapped object is this very object.
-            if self._by_oid.get(oid) is obj:
-                return oid
-            entry = self._weak.get(oid)
-            if entry is not None and entry[0]() is obj:
-                return oid
+        oid = self._oid_by_id.get(id(obj))
+        if oid is None:
             return None
+        # Guard against id() collisions with unmapped objects: the entry
+        # is only valid if the mapped object is this very object.
+        if self._by_oid.get(oid) is obj:
+            return oid
+        entry = self._weak.get(oid)
+        if entry is not None and entry[0]() is obj:
+            return oid
+        return None
 
     def __contains__(self, oid: Oid) -> bool:
-        with self._mutex:
-            return oid in self._by_oid or self._weak_live(oid) is not None
+        return oid in self._by_oid or self._weak_live(oid) is not None
 
     def __len__(self) -> int:
-        with self._mutex:
-            live_weak = sum(1 for ref, _ in self._weak.values()
-                            if ref() is not None)
-            return len(self._by_oid) + live_weak
+        live_weak = sum(1 for ref, _ in self._weak.values()
+                        if ref() is not None)
+        return len(self._by_oid) + live_weak
 
     @property
     def strong_count(self) -> int:
         """Objects currently pinned by a strong reference."""
-        with self._mutex:
-            return len(self._by_oid)
+        return len(self._by_oid)
 
     # -- mutation --------------------------------------------------------
 
@@ -204,52 +172,50 @@ class ObjectCache:
         runs, or an LRU victim another shell still needs could be
         demoted — and die — mid-installation.
         """
-        with self._mutex:
-            existing = self._by_oid.get(oid)
-            if existing is None:
-                existing = self._weak_live(oid)
-            if existing is not None:
-                if existing is not obj:
-                    raise ValueError(
-                        f"oid {oid} is already bound to another object")
-                # Rebinding the same pair: treat as a use.
-                if oid in self._weak:
-                    del self._weak[oid]
-                    self._by_oid[oid] = obj
-                else:
-                    self._by_oid.move_to_end(oid)
-            else:
+        existing = self._by_oid.get(oid)
+        if existing is None:
+            existing = self._weak_live(oid)
+        if existing is not None:
+            if existing is not obj:
+                raise ValueError(
+                    f"oid {oid} is already bound to another object")
+            # Rebinding the same pair: treat as a use.
+            if oid in self._weak:
+                del self._weak[oid]
                 self._by_oid[oid] = obj
-            self._oid_by_id[id(obj)] = oid
-            if enforce:
-                self._enforce()
+            else:
+                self._by_oid.move_to_end(oid)
+        else:
+            self._by_oid[oid] = obj
+        self._oid_by_id[id(obj)] = oid
+        if enforce:
+            self.enforce_capacity()
 
     def evict(self, oid: Oid) -> None:
-        with self._mutex:
-            obj = self._by_oid.pop(oid, None)
-            if obj is not None:
-                self._oid_by_id.pop(id(obj), None)
-                return
-            entry = self._weak.pop(oid, None)
-            if entry is not None and self._oid_by_id.get(entry[1]) == oid:
-                del self._oid_by_id[entry[1]]
+        obj = self._by_oid.pop(oid, None)
+        if obj is not None:
+            self._oid_by_id.pop(id(obj), None)
+            return
+        entry = self._weak.pop(oid, None)
+        if entry is not None and self._oid_by_id.get(entry[1]) == oid:
+            del self._oid_by_id[entry[1]]
 
     def clear(self) -> None:
-        with self._mutex:
-            self._by_oid.clear()
-            self._weak.clear()
-            self._oid_by_id.clear()
+        self._by_oid.clear()
+        self._weak.clear()
+        self._oid_by_id.clear()
 
     # -- views -----------------------------------------------------------
 
     def items(self) -> Iterator[tuple[Oid, Any]]:
-        with self._mutex:
-            snapshot = list(self._by_oid.items())
-            for oid in list(self._weak):
-                obj = self._weak_live(oid)
-                if obj is not None:
-                    snapshot.append((oid, obj))
-            return iter(snapshot)
+        """A snapshot of every live binding (safe to mutate the cache
+        while iterating it)."""
+        snapshot = list(self._by_oid.items())
+        for oid in list(self._weak):
+            obj = self._weak_live(oid)
+            if obj is not None:
+                snapshot.append((oid, obj))
+        return iter(snapshot)
 
     def oids(self) -> set[Oid]:
         return {oid for oid, _ in self.items()}
@@ -258,19 +224,14 @@ class ObjectCache:
 
     def enforce_capacity(self) -> int:
         """Demote LRU victims until the strong set fits the capacity;
-        returns the number demoted.  A no-op when unbounded."""
-        with self._mutex:
-            return self._enforce()
+        returns the number demoted.  A no-op when unbounded.
 
-    def _enforce(self) -> int:
-        """Demote LRU victims until the strong set fits.  Caller holds
-        the mutex.  Undemotable victims are rotated to the hot end
-        (CLOCK-style) so the next pass examines fresh candidates, and
-        the scan is budgeted: when the set is over capacity because of
-        a large dirty or non-weakrefable population, one enforcement
-        examines a bounded slice rather than re-judging every pinned
-        entry (the guard can cost a re-encode per victim) on every
-        fetch."""
+        Undemotable victims are rotated to the hot end (CLOCK-style) so
+        the next pass examines fresh candidates, and the scan is
+        budgeted: when the set is over capacity because of a large dirty
+        or non-weakrefable population, one enforcement examines a
+        bounded slice rather than re-judging every pinned entry (the
+        guard can cost a re-encode per victim) on every fetch."""
         if self._capacity is None:
             return 0
         excess = len(self._by_oid) - self._capacity

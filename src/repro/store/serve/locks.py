@@ -2,9 +2,9 @@
 
 ``ReadWriteLock`` lets any number of reader threads proceed together
 while giving a writer exclusive access, with *writer preference*: once a
-writer is waiting, new readers queue behind it, so a stream of cache-hit
-reads cannot starve the faults and evictions that keep the cache
-correct.
+writer is waiting, new readers queue behind it, so a stream of reads
+cannot starve a commit.  The memory and file engines guard their state
+with it, so a store server's connection threads read in parallel.
 
 Re-entrancy rules (enforced, not advisory):
 
@@ -16,8 +16,7 @@ Re-entrancy rules (enforced, not advisory):
   lock — the classic upgrade deadlock (two readers both waiting for the
   other to leave) is refused with ``RuntimeError`` so the bug surfaces
   at the call site instead of as a hang.  Release the read lock, take
-  the write lock, and re-validate instead; the store's fault path is
-  built exactly that way.
+  the write lock, and re-validate instead.
 """
 
 from __future__ import annotations
@@ -39,22 +38,6 @@ class ReadWriteLock:
         self._writer: int | None = None
         self._write_depth = 0
         self._writers_waiting = 0
-        #: Seqlock epoch for optimistic lock-free reads: odd while a
-        #: writer holds the lock, even otherwise.  A reader samples it
-        #: before and after an unlocked probe; an unchanged even value
-        #: proves no write section overlapped the probe.  Plain ``int``
-        #: loads and stores are atomic under the GIL, so sampling takes
-        #: no mutex — which is the whole point: under a stampede of
-        #: spinning readers, every mutex acquisition on this lock's
-        #: condition becomes a GIL-convoy starvation point on few-core
-        #: hosts, and the optimistic path keeps readers off it entirely.
-        self.seq = 0
-        #: Contention telemetry: write acquisitions, and nanoseconds
-        #: writers spent blocked waiting out readers (only timed when
-        #: the acquire actually waits — the uncontended path stays
-        #: clock-free).  Surfaced as pull gauges by the store.
-        self.write_acquires = 0
-        self.writer_wait_ns = 0
 
     # -- read side -------------------------------------------------------
 
@@ -113,18 +96,12 @@ class ReadWriteLock:
                 )
             self._writers_waiting += 1
             try:
-                if self._writer is not None or self._readers:
-                    waited_from = time.perf_counter_ns()
-                    while self._writer is not None or self._readers:
-                        self._cond.wait()
-                    self.writer_wait_ns += (time.perf_counter_ns()
-                                            - waited_from)
+                while self._writer is not None or self._readers:
+                    self._cond.wait()
             finally:
                 self._writers_waiting -= 1
             self._writer = me
             self._write_depth = 1
-            self.write_acquires += 1
-            self.seq += 1  # now odd: write section open
 
     def release_write(self) -> None:
         me = threading.get_ident()
@@ -134,7 +111,6 @@ class ReadWriteLock:
             self._write_depth -= 1
             if self._write_depth == 0:
                 self._writer = None
-                self.seq += 1  # back to even: write section closed
                 self._cond.notify_all()
 
     # -- context managers ------------------------------------------------
@@ -154,17 +130,3 @@ class ReadWriteLock:
             yield
         finally:
             self.release_write()
-
-    # -- introspection (tests) -------------------------------------------
-
-    @property
-    def read_held(self) -> bool:
-        """Whether the calling thread holds the read side."""
-        with self._cond:
-            return threading.get_ident() in self._readers
-
-    @property
-    def write_held(self) -> bool:
-        """Whether the calling thread holds the write side."""
-        with self._cond:
-            return self._writer == threading.get_ident()

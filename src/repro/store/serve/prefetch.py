@@ -12,10 +12,8 @@ costs *d* bulk reads instead of one read per node.
 
 The planner performs **no identity-map mutation** — it only reads the
 engine and peeks at liveness through the callback it is given.  The
-store runs planning outside its write lock (so N faulting threads
-overlap their engine I/O) and installs the planned records under the
-write lock afterwards, re-validating against concurrent faults and
-evictions.
+store installs the planned records afterwards, and plans again if a
+weak-tier object the plan counted on as live was collected in between.
 """
 
 from __future__ import annotations

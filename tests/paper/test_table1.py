@@ -1,7 +1,13 @@
 """Table 1 — "denotable hyper-links and their productions" — regenerated
-from the Java-subset grammar, and the kinds-by-contexts legality matrix
-that extends it to the Python side."""
+from the Java-subset grammar, the kinds-by-contexts legality matrix
+that extends it to the Python side, and the factories for the array,
+array-type and static-field rows taken through Go and a reopen."""
 
+from contextlib import contextmanager
+
+from repro.core.compiler import DynamicCompiler
+from repro.core.hyperlink import HyperLinkHP
+from repro.core.hyperprogram import HyperProgram
 from repro.core.legality import (
     CONTEXTS,
     format_legality_matrix,
@@ -14,6 +20,17 @@ from repro.javagrammar.productions import (
     hole,
     table1_rows,
 )
+from repro.core.linkstore import LinkStore
+from repro.reflect.introspect import for_class
+from repro.store.objectstore import ObjectStore
+
+from tests.conftest import Person
+
+
+class Tally:
+    """A class with a static field, for the Field row."""
+
+    count: int = 3
 
 
 def test_every_table1_row_derives():
@@ -71,3 +88,93 @@ def test_legality_matrix_is_full_and_informative():
     assert not all(matrix.values())
     table = format_legality_matrix()
     assert "yes" in table and "-" in table
+
+
+# ---------------------------------------------------------------------------
+# The array, array-type and static-field factories, through Go and reopen
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def linked_session(directory, registry):
+    """A file store with the link registry installed for compiled code."""
+    store = ObjectStore.open(directory, registry=registry)
+    link_store = LinkStore(store)
+    DynamicCompiler.install(link_store)
+    try:
+        yield store, link_store
+    finally:
+        DynamicCompiler.uninstall()
+        store.close()
+
+
+def returning(class_name, factory, entity):
+    """``main`` returns the linked entity: ``return <link>``."""
+    text = (f"class {class_name}:\n    @staticmethod\n"
+            f"    def main(args):\n        return \n")
+    program = HyperProgram(text, class_name=class_name)
+    pos = text.index("return ") + len("return ")
+    program.add_link(factory(entity, class_name.lower(), pos))
+    return program
+
+
+def go(program):
+    compiled = DynamicCompiler.compile_hyper_program(program)
+    return DynamicCompiler.run_main(compiled)
+
+
+def reopened_link(store, link_store):
+    """The stored program and its link, fetched through the Figure 7
+    registry the compiled code uses."""
+    program = store.get_root("program")
+    index = link_store.index_of(program, link_store.password)
+    assert index is not None
+    return program, link_store.get_link(link_store.password, index, 0)
+
+
+def test_array_link_survives_go_and_reopen(tmp_path, registry):
+    directory = str(tmp_path / "store")
+    with linked_session(directory, registry) as (store, _):
+        array = [Person("a"), Person("b")]
+        store.set_root("array", array)
+        program = returning("ArrayLink", HyperLinkHP.to_array, array)
+        assert go(program) is array
+        store.set_root("program", program)
+        store.stabilize()
+    with linked_session(directory, registry) as (store, link_store):
+        program, link = reopened_link(store, link_store)
+        array = store.get_root("array")
+        assert link.get_object() is array
+        assert go(program) is array
+
+
+def test_array_type_link_survives_go_and_reopen(tmp_path, registry):
+    directory = str(tmp_path / "store")
+    with linked_session(directory, registry) as (store, _):
+        program = returning("ArrayTypeLink", HyperLinkHP.to_array_type,
+                            Person)
+        assert go(program) is Person
+        store.set_root("program", program)
+        store.stabilize()
+    with linked_session(directory, registry) as (store, link_store):
+        program, link = reopened_link(store, link_store)
+        assert link.get_object().resolve(store.registry).python_class \
+            is Person
+        assert go(program) is Person
+
+
+def test_static_field_link_survives_go_and_reopen(tmp_path, registry):
+    registry.register(Tally)
+    field = for_class(Tally).get_field("count")
+    directory = str(tmp_path / "store")
+    with linked_session(directory, registry) as (store, _):
+        program = returning("FieldLink", HyperLinkHP.to_static_field, field)
+        assert go(program) == Tally.count
+        store.set_root("program", program)
+        store.stabilize()
+    with linked_session(directory, registry) as (store, link_store):
+        program, link = reopened_link(store, link_store)
+        resolved = link.get_object().resolve(store.registry)
+        assert resolved.get_name() == "count"
+        assert resolved.get_declaring_class().python_class is Tally
+        assert go(program) == Tally.count

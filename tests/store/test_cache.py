@@ -212,25 +212,28 @@ class TestObjectCache:
         assert cache.demotions == 0
 
 
-class TestOptimisticHit:
-    """``hit()`` backs the store's lock-free read fast path: a bare
-    mutex-free probe on unbounded maps, the full locked path on bounded
-    caches (where a hit mutates LRU order)."""
+class TestObjectForHit:
+    """``object_for`` backs the store's read path: a bare ``dict.get``
+    on unbounded maps, a recency update (and promotion out of the weak
+    tail) on bounded ones."""
 
     def test_unbounded_cache_hit_probes_strong_tier_only(self):
         cache = ObjectCache()  # capacity=None: nothing is ever demoted
         person = Person("y")
         cache.add(Oid(1), person)
-        assert cache.hit(Oid(1)) is person
-        assert cache.hit(Oid(2)) is None
+        assert cache.object_for(Oid(1)) is person
+        assert cache.object_for(Oid(2)) is None
 
-    def test_bounded_cache_hit_takes_the_locked_path(self):
+    def test_bounded_cache_hit_promotes_from_the_weak_tier(self):
         cache = ObjectCache(capacity=3)
         people = [Person(f"p{i}") for i in range(6)]
         for index, person in enumerate(people):
             cache.add(Oid(index + 1), person)
-        # Oid(1) was demoted to the weak tier (pinned by the list);
-        # a bounded hit must still find it — and promote it, exactly
-        # like object_for.
-        assert cache.hit(Oid(1)) is people[0]
+        demotions = cache.demotions
+        # Oid(1) was demoted to the weak tier (pinned by the list); a
+        # bounded hit must still find it and promote it, which demotes
+        # the least recent strong entry to keep the bound.
+        assert cache.object_for(Oid(1)) is people[0]
         assert cache.peek(Oid(1)) is people[0]
+        assert cache.strong_count == 3
+        assert cache.demotions == demotions + 1

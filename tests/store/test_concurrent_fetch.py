@@ -1,18 +1,9 @@
-"""Multi-threaded fetch: the read-serving subsystem under contention.
-
-Runs against every backend the ``store`` fixture is parametrized over
-(file, memory, sqlite, sharded-file, sharded-sqlite, file-group,
-sharded-async): N threads race ``object_for`` over overlapping OID
-sets, race ``stabilize()`` and ``collect_garbage()``, and hammer
-``refresh()`` — asserting identity-map uniqueness (every thread gets
-the *same* object per OID), no torn shells (every materialised object
-carries complete, consistent state), and no leaked exceptions.
-
-Also the unit tests for the pieces: the writer-preferring
-:class:`~repro.store.serve.locks.ReadWriteLock`, the
-:class:`~repro.store.serve.prefetch.FetchPlanner`'s wave shape, and
-the ``cache_objects`` bound (a full-graph walk leaves at most N clean
-objects strongly held — verified with :mod:`weakref` and :mod:`gc`).
+"""The read-serving pieces: the engines' writer-preferring
+:class:`~repro.store.serve.locks.ReadWriteLock` under real reader and
+writer threads, the :class:`~repro.store.serve.prefetch.FetchPlanner`'s
+wave shape, and the ``cache_objects`` bound (a full-graph walk leaves at
+most N clean objects strongly held — verified with :mod:`weakref` and
+:mod:`gc`).
 """
 
 from __future__ import annotations
@@ -30,8 +21,6 @@ from repro.store.serve.locks import ReadWriteLock
 from repro.store.serve.prefetch import FetchPlanner
 
 from tests.conftest import Person
-
-N_THREADS = 8
 
 
 def populate_chains(store, clusters=10, chain=6):
@@ -68,132 +57,6 @@ def run_threads(workers):
         thread.join()
     if errors:
         raise errors[0]
-
-
-class TestConcurrentFetch:
-    def test_threads_racing_object_for_share_identity(self, store):
-        oids = populate_chains(store)
-        store.evict_all()
-        barrier = threading.Barrier(N_THREADS, timeout=15)
-        fetched = [dict() for _ in range(N_THREADS)]
-
-        def reader(index):
-            def run():
-                rng = random.Random(index)
-                keys = list(oids.items())
-                rng.shuffle(keys)
-                barrier.wait()
-                for name, oid in keys:
-                    obj = store.object_for(oid)
-                    fetched[index][name] = obj
-            return run
-
-        run_threads([reader(index) for index in range(N_THREADS)])
-
-        # Identity: one live object per OID, whoever fetched it.
-        for name in oids:
-            first = fetched[0][name]
-            for per_thread in fetched[1:]:
-                assert per_thread[name] is first
-        # No torn shells: names filled, chain links intact.
-        for name, oid in oids.items():
-            obj = fetched[0][name]
-            assert obj.name == name
-            cluster, index = name[1:].split("n")
-            successor = f"c{cluster}n{int(index) + 1}"
-            if successor in oids:
-                assert obj.spouse is fetched[0][successor]
-            else:
-                assert obj.spouse is None
-
-    def test_readers_race_stabilize(self, store):
-        oids = populate_chains(store, clusters=6, chain=5)
-        store.evict_all()
-        stop = threading.Event()
-
-        def reader(seed):
-            def run():
-                rng = random.Random(seed)
-                keys = list(oids.values())
-                while not stop.is_set():
-                    obj = store.object_for(rng.choice(keys))
-                    assert obj.name  # materialised, never torn
-            return run
-
-        def writer():
-            try:
-                for round_no in range(12):
-                    heads = store.get_root("heads")
-                    heads.append(Person(f"extra{round_no}"))
-                    store.stabilize()
-            finally:
-                stop.set()
-
-        run_threads([reader(seed) for seed in range(N_THREADS - 1)]
-                    + [writer])
-        store.flush()
-        assert store.verify_referential_integrity() == []
-
-    def test_readers_race_collect_garbage(self, store):
-        keep = populate_chains(store, clusters=4, chain=4)
-        junk = [Person(f"junk{index}") for index in range(10)]
-        store.set_root("junk", junk)
-        store.stabilize()
-        del junk
-        store.evict_all()
-        stop = threading.Event()
-
-        def reader(seed):
-            def run():
-                rng = random.Random(seed)
-                keys = list(keep.values())
-                while not stop.is_set():
-                    obj = store.object_for(rng.choice(keys))
-                    assert obj.name.startswith("c")
-            return run
-
-        def collector():
-            try:
-                store.delete_root("junk")
-                for _ in range(3):
-                    store.collect_garbage()
-                    time.sleep(0.005)
-            finally:
-                stop.set()
-
-        run_threads([reader(seed) for seed in range(4)] + [collector])
-        # The kept graph survived; the junk subtree is gone.
-        for name, oid in keep.items():
-            assert store.object_for(oid).name == name
-        assert store.verify_referential_integrity() == []
-
-    def test_refresh_is_atomic_under_concurrent_fetch(self, store):
-        person = Person("stable")
-        store.set_root("p", person)
-        store.stabilize()
-        oid = store.oid_of(person)
-        stop = threading.Event()
-
-        def reader():
-            while not stop.is_set():
-                obj = store.object_for(oid)
-                # The one invariant refresh must keep: whatever instance
-                # a reader sees, it is whole — a half-installed shell
-                # would have no name yet.
-                assert obj.name == "stable"
-
-        def refresher():
-            try:
-                for _ in range(40):
-                    current = store.object_for(oid)
-                    fresh = store.refresh(current)
-                    # Atomic evict+refault: the new instance is bound
-                    # the moment refresh returns.
-                    assert store.object_for(oid) is fresh
-            finally:
-                stop.set()
-
-        run_threads([reader for _ in range(4)] + [refresher])
 
 
 class TestReadWriteLock:
@@ -265,16 +128,22 @@ class TestReadWriteLock:
         lock = ReadWriteLock()
         with lock.read_locked():
             with lock.read_locked():
-                assert lock.read_held
-        assert not lock.read_held
+                pass
+        # Fully released: one more release is unbalanced.
+        with pytest.raises(RuntimeError):
+            lock.release_read()
 
     def test_write_reentrant_and_read_within_write(self):
         lock = ReadWriteLock()
         with lock.write_locked():
             with lock.write_locked():
                 with lock.read_locked():
-                    assert lock.write_held
-        assert not lock.write_held
+                    pass
+        # Both sides fully released: further releases are unbalanced.
+        with pytest.raises(RuntimeError):
+            lock.release_write()
+        with pytest.raises(RuntimeError):
+            lock.release_read()
 
     def test_upgrade_refused(self):
         lock = ReadWriteLock()
@@ -288,24 +157,6 @@ class TestReadWriteLock:
             lock.release_read()
         with pytest.raises(RuntimeError):
             lock.release_write()
-
-    def test_seqlock_epoch_tracks_write_sections(self):
-        # The lock-free read fast path samples ``seq`` without the
-        # mutex: it must be odd exactly while a writer holds the lock,
-        # and each write section must advance it by two.
-        lock = ReadWriteLock()
-        assert lock.seq == 0
-        with lock.write_locked():
-            assert lock.seq % 2 == 1
-            with lock.write_locked():  # re-entry: still one section
-                assert lock.seq % 2 == 1
-        assert lock.seq == 2
-        with lock.read_locked():
-            assert lock.seq == 2  # readers never touch the epoch
-        with lock.write_locked():
-            pass
-        assert lock.seq == 4
-
 
 class TestFetchPlanner:
     def test_waves_follow_graph_depth(self, store):
@@ -420,7 +271,7 @@ class TestBoundedServing:
             with_store = [store.object_for(oid).name for oid in oids]
             assert with_store == [f"renamed{i}" for i in range(len(oids))]
 
-    def test_concurrent_fetch_respects_bound(self, tmp_path, registry):
+    def test_random_reads_respect_bound(self, tmp_path, registry):
         url = f"sharded:3:file:{tmp_path / 'cluster'}?cache_objects=24"
         with open_store(url, registry=registry) as store:
             people = [Person(f"p{index}") for index in range(96)]
@@ -430,14 +281,8 @@ class TestBoundedServing:
             del people
             store.evict_all()
 
-            def reader(seed):
-                def run():
-                    rng = random.Random(seed)
-                    for _ in range(150):
-                        oid = rng.choice(oids)
-                        obj = store.object_for(oid)
-                        assert obj.name.startswith("p")
-                return run
-
-            run_threads([reader(seed) for seed in range(6)])
-            assert store._identity.strong_count <= 24
+            rng = random.Random(7)
+            for _ in range(900):
+                oid = rng.choice(oids)
+                assert store.object_for(oid).name.startswith("p")
+                assert store._identity.strong_count <= 24

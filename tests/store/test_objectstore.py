@@ -8,7 +8,10 @@ from repro.errors import (
     UnknownOidError,
     UnknownRootError,
 )
+from repro.store.commit import CommitTicket
+from repro.store.engine import MemoryEngine
 from repro.store.objectstore import ObjectStore
+from repro.store.weakrefs import PersistentWeakRef
 
 from tests.conftest import Employee, Person
 
@@ -238,6 +241,8 @@ class TestReferentialIntegrity:
         fresh = store.refresh(person)
         assert fresh.name == "disk"
         assert fresh is not person
+        # The re-fetched instance is the one the identity map now serves.
+        assert store.object_for(store.oid_of(fresh)) is fresh
 
 
 class TestLifecycle:
@@ -261,3 +266,48 @@ class TestLifecycle:
         assert stats.object_count >= 3
         assert stats.root_count == 1
         assert stats.heap_pages >= 1
+
+
+class LosingEngine(MemoryEngine):
+    """Accepts a submission but loses the commit when armed: the ticket
+    fails, as a pipelined engine's does when its disk write fails."""
+
+    lose_next = False
+
+    def apply_async(self, batch):
+        if not self.lose_next:
+            return super().apply_async(batch)
+        self.lose_next = False
+        ticket = CommitTicket(batch)
+        ticket._resolve(IOError("commit lost"))
+        return ticket
+
+
+class TestFailedCommit:
+    def test_failed_commit_redirties_what_it_covered(self, registry):
+        engine = LosingEngine()
+        store = ObjectStore(registry=registry, engine=engine)
+        person = Person("before")
+        weak = PersistentWeakRef()
+        store.set_root("p", person)
+        store.set_root("w", [weak])
+        store.stabilize()
+
+        # A rename, a retargeted weak reference, and a new root with a
+        # freshly allocated OID — all in the commit that gets lost.
+        person.name = "after"
+        weak.set(person)
+        store.set_root("q", Person("new"))
+        engine.lose_next = True
+        with pytest.raises(IOError):
+            store.stabilize()
+
+        # The store knows nothing reached the engine: the next stabilise
+        # writes the same three records again, and the single-writer
+        # fence still matches the engine it never moved.
+        assert store.stabilize() == 3
+        reader = ObjectStore(registry=registry, engine=engine)
+        assert reader.get_root("p").name == "after"
+        assert reader.get_root("w")[0].get() is reader.get_root("p")
+        assert reader.get_root("q").name == "new"
+        store.close()
